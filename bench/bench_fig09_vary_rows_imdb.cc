@@ -2,9 +2,8 @@
 // (a) number of verifications and (b) execution time for VERIFYALL,
 // SIMPLEPRUNE and FILTER. Expected shape: FILTER needs the fewest
 // verifications and is robust to m; VERIFYALL degrades for small m (more
-// candidates); SIMPLEPRUNE is U-shaped. The parallel-engine columns
-// (VerifyAll(8t), Filter(8t); panel (d) threads / memo hit rate) chart the
-// batched engine of DESIGN.md §9 against the serial baselines.
+// candidates); SIMPLEPRUNE is U-shaped. Panel (d) charts the subtree-memo
+// hit rate of each algorithm.
 //
 // --kernel-ab=PATH switches to the SIMD kernel A/B mode (DESIGN.md §14):
 // the same m = 2..6 sweep runs once per supported dispatch level (scalar,
@@ -232,9 +231,7 @@ int main(int argc, char** argv) {
       qbe::MakeBundle(qbe::DatasetKind::kImdb, args.scale, args.seed);
   std::vector<qbe::AlgoKind> algos = {qbe::AlgoKind::kVerifyAll,
                                       qbe::AlgoKind::kSimplePrune,
-                                      qbe::AlgoKind::kFilter,
-                                      qbe::AlgoKind::kVerifyAllPar,
-                                      qbe::AlgoKind::kFilterPar};
+                                      qbe::AlgoKind::kFilter};
   std::vector<std::string> labels;
   std::vector<qbe::ExperimentPoint> points;
   for (int m = 2; m <= 6; ++m) {

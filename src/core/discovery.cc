@@ -158,21 +158,19 @@ DiscoveryResult DiscoverQueries(const DbView& view, const ExampleTable& et,
   VerifyContext ctx{db,           graph,         exec,
                     et,           candidates,    options.seed,
                     options.cache, options.deadline,
-                    options.verify, options.verify_pool,
-                    &et_ids,
+                    options.verify, &et_ids,
                     options.use_match_cache ? &match_cache : nullptr,
                     data_epoch,   view.delta(),
                     trace};
 
-  // Per-algorithm verification span; evaluations fanned out to verify-pool
-  // workers hang off it via ctx.trace_parent.
+  // Per-algorithm verification span; every evaluation runs on this thread
+  // and nests under it.
   SpanRef verify_span =
       trace == nullptr
           ? kNullSpan
           : trace->OpenSpan(options.min_row_support >= 0
                                 ? SpanKind::kRelaxedVerify
                                 : VerifySpanKind(options.algorithm));
-  ctx.trace_parent = verify_span;
 
   std::vector<int> matched(candidates.size(), 0);
   std::vector<bool> keep(candidates.size(), false);

@@ -62,21 +62,13 @@ struct DiscoveryOptions {
   /// run returns DiscoveryResult::timed_out with no queries. Not owned.
   const DeadlineToken* deadline = nullptr;
 
-  /// Intra-request parallel + batched verification knobs (threads,
-  /// batch_size, subtree memo). threads > 1 requires `cache` to be null or
-  /// thread-safe. Defaults keep the serial reference path.
+  /// Verification knobs (subtree memo).
   VerifyOptions verify;
-
-  /// Optional shared worker pool for verify.threads > 1 (not owned).
-  /// DiscoveryService points every request at its verify pool so requests
-  /// borrow idle workers; when null, each request spins up a transient
-  /// pool.
-  ThreadPool* verify_pool = nullptr;
 
   /// Shares (column, phrase-ids) → row-set match results across every
   /// existence query of this request (see exec/match_cache.h). Purely an
   /// execution-cost optimization: outcomes, verification counts, and the
-  /// valid set are bit-identical with it on or off, at any thread count.
+  /// valid set are bit-identical with it on or off.
   bool use_match_cache = true;
 
   /// Optional request-scoped trace (obs/trace.h, DESIGN.md §13): discovery

@@ -1,11 +1,8 @@
 #include "core/filter_verifier.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <queue>
-#include <unordered_map>
 
-#include "core/parallel_verify.h"
 #include "shard/shard_exec.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
@@ -170,74 +167,14 @@ int SelectExact(const AdaptiveState& s) {
   return best >= 0 ? best : s.FallbackSelection();
 }
 
-/// Top-k of the exact greedy criterion in selection order (score desc,
-/// index asc — the same tie-break SelectExact's strict `>` scan produces).
-/// Falls back to one basic filter when every score degenerates to zero.
-std::vector<int> SelectExactBatch(const AdaptiveState& s, int k) {
-  std::vector<std::pair<double, int>> scored;
-  for (int f = 0; f < s.u.num_filters(); ++f) {
-    if (!s.in_fx[f]) continue;
-    double score = s.Score(f);
-    if (score > 0.0) scored.emplace_back(score, f);
-  }
-  if (scored.empty()) {
-    int fallback = s.FallbackSelection();
-    return fallback >= 0 ? std::vector<int>{fallback} : std::vector<int>{};
-  }
-  size_t take = std::min(scored.size(), static_cast<size_t>(k));
-  std::partial_sort(scored.begin(), scored.begin() + take, scored.end(),
-                    [](const auto& a, const auto& b) {
-                      if (a.first != b.first) return a.first > b.first;
-                      return a.second < b.second;
-                    });
-  std::vector<int> chosen;
-  chosen.reserve(take);
-  for (size_t i = 0; i < take; ++i) chosen.push_back(scored[i].second);
-  return chosen;
-}
-
-/// Up to k distinct filters off the lazy heap, in pop order. Scores do not
-/// move during a round (no outcome is applied until the whole batch is
-/// evaluated), so the serial pop-rescore-accept loop applies unchanged;
-/// chosen filters simply stay out of the heap.
-std::vector<int> SelectLazyBatch(
-    AdaptiveState& s, std::priority_queue<std::pair<double, int>>& heap,
-    int k) {
-  std::vector<int> chosen;
-  while (static_cast<int>(chosen.size()) < k) {
-    int pick = -1;
-    while (!heap.empty()) {
-      auto [stale, f] = heap.top();
-      heap.pop();
-      if (!s.in_fx[f]) continue;
-      double fresh = s.Score(f);
-      if (heap.empty() || fresh >= heap.top().first) {
-        pick = f;
-        break;
-      }
-      heap.emplace(fresh, f);
-    }
-    if (pick < 0) break;
-    chosen.push_back(pick);
-  }
-  if (chosen.empty()) {
-    int fallback = s.FallbackSelection();
-    if (fallback >= 0) chosen.push_back(fallback);
-  }
-  return chosen;
-}
-
 }  // namespace
 
 std::vector<bool> FilterVerifier::Verify(const VerifyContext& ctx,
                                          VerificationCounters* counters) {
   Stopwatch timer;
-  VerifyPoolHandle pool(ctx);
   Executor::SubtreeMemo subtree_memo;
-  Executor::SubtreeMemo* memo_ptr =
-      ctx.verify.subtree_memo ? &subtree_memo : nullptr;
-  counters->threads_used = std::max(counters->threads_used, pool.threads());
-  EvalEngine engine(ctx, counters, memo_ptr);
+  EvalEngine engine(ctx, counters,
+                    ctx.verify.subtree_memo ? &subtree_memo : nullptr);
   FilterUniverse universe =
       BuildFilterUniverse(ctx.graph, ctx.et, ctx.candidates);
   AdaptiveState s(universe, ctx, options_.failure_prior);
@@ -271,78 +208,7 @@ std::vector<bool> FilterVerifier::Verify(const VerifyContext& ctx,
     if (live_rows > 0) s.MarkSuccess(f);
   }
 
-  if (pool.pool() != nullptr) {
-    // Batched Algorithm 1 (the parallel engine): per round, select up to
-    // batch_size filters under the greedy criterion *without* applying
-    // outcomes (the selections of one round do not see each other's
-    // results), evaluate them concurrently, then record outcomes and run
-    // the Lemma 2/3/4 propagation in canonical selection order — the same
-    // order a single thread would apply them, so the filter statistics
-    // driving later rounds are independent of the thread count. Batching
-    // trades a slightly less adaptive greedy (a few extra evaluations) for
-    // parallel evaluation; the valid set is unchanged.
-    int k = std::max(1, ctx.verify.batch_size);
-    std::priority_queue<std::pair<double, int>> heap;
-    if (options_.lazy_greedy) {
-      for (int f = 0; f < universe.num_filters(); ++f) {
-        heap.emplace(s.Score(f), f);
-      }
-    }
-    // Round-level memo for predicate-free filters (outcome depends only on
-    // the join tree); maintained in canonical order so its contents are
-    // deterministic. Mirrors EvalEngine's per-engine memo, which cannot be
-    // shared across the round's per-slot engines.
-    std::unordered_map<JoinTree, bool, JoinTreeHash> empty_join_memo;
-    while (s.num_alive > 0) {
-      std::vector<int> chosen = options_.lazy_greedy
-                                    ? SelectLazyBatch(s, heap, k)
-                                    : SelectExactBatch(s, k);
-      QBE_CHECK(!chosen.empty());
-
-      struct Slot {
-        int filter = -1;
-        bool predicate_free = false;
-        bool resolved = false;  // outcome known without evaluation
-        bool outcome = false;
-        VerificationCounters counters;
-      };
-      std::vector<Slot> slots(chosen.size());
-      std::vector<int> to_eval;
-      for (size_t i = 0; i < chosen.size(); ++i) {
-        Slot& slot = slots[i];
-        slot.filter = chosen[i];
-        slot.predicate_free =
-            universe.filters[chosen[i]].constrained_mask == 0;
-        if (slot.predicate_free) {
-          auto it = empty_join_memo.find(universe.filters[chosen[i]].tree);
-          if (it != empty_join_memo.end()) {
-            slot.resolved = true;
-            slot.outcome = it->second;
-            continue;
-          }
-        }
-        to_eval.push_back(static_cast<int>(i));
-      }
-      ParallelFor(pool.pool(), static_cast<int>(to_eval.size()),
-                  [&](int j) {
-                    Slot& slot = slots[to_eval[j]];
-                    EvalEngine slot_engine(ctx, &slot.counters, memo_ptr);
-                    slot.outcome = slot_engine.EvaluateFilter(
-                        universe.filters[slot.filter]);
-                  });
-      // Canonical-order merge: counters, the empty-join memo, and the
-      // statistics/propagation updates all land in selection order.
-      for (Slot& slot : slots) {
-        counters->Add(slot.counters);
-        if (!slot.resolved && slot.predicate_free) {
-          empty_join_memo.emplace(universe.filters[slot.filter].tree,
-                                  slot.outcome);
-        }
-        s.RecordOutcome(slot.outcome);
-        s.Apply(slot.filter, slot.outcome);
-      }
-    }
-  } else if (options_.lazy_greedy) {
+  if (options_.lazy_greedy) {
     // Max-heap of (stale score, filter). Scores are adaptively diminishing,
     // so a stale entry is an upper bound: pop, rescore, and accept when the
     // fresh score still dominates the next entry's stale bound.
@@ -370,24 +236,12 @@ std::vector<bool> FilterVerifier::Verify(const VerifyContext& ctx,
       s.Apply(chosen, ok);
     }
   } else {
-    const bool debug = std::getenv("QBE_FILTER_DEBUG") != nullptr;
     while (s.num_alive > 0) {
       int chosen = SelectExact(s);
       QBE_CHECK(chosen >= 0);
-      int alive_before = s.num_alive;
       bool ok = engine.EvaluateFilter(universe.filters[chosen]);
       s.RecordOutcome(ok);
       s.Apply(chosen, ok);
-      if (debug) {
-        const Filter& f = universe.filters[chosen];
-        std::fprintf(stderr,
-                     "[filter] size=%d nF=%d row=%d shared=%zu -> %s "
-                     "killed=%d alive=%d\n",
-                     f.tree.NumVertices(), f.NumConstrainedCells(), f.row,
-                     universe.queries_of_filter[chosen].size(),
-                     ok ? "ok" : "FAIL", alive_before - s.num_alive,
-                     s.num_alive);
-      }
     }
   }
 

@@ -55,12 +55,20 @@ class FilterVerifier : public CandidateVerifier {
     /// Accelerated (lazy) greedy selection: scores are adaptively
     /// diminishing (Lemma 6), so stale priority-queue entries are upper
     /// bounds and can be re-validated on pop instead of rescoring every
-    /// filter each round. Identical valid sets and near-identical
-    /// evaluation counts, but the selection overhead drops from
-    /// O(|F|) per evaluation to amortized O(log |F|) — on heavy-tailed
-    /// ETs with thousands of candidates the exact scan dominates wall
-    /// time, so lazy is the default; the exact scan remains available for
-    /// the ablation study.
+    /// filter each round. The selection overhead drops from O(|F|) per
+    /// evaluation to amortized O(log |F|) — on heavy-tailed ETs with
+    /// thousands of candidates the exact scan dominates wall time, so lazy
+    /// is the default; the exact scan remains available for the ablation
+    /// study.
+    ///
+    /// Both always return identical valid sets, but their verification
+    /// counts can differ because they break score ties differently: the
+    /// exact scan keeps the lowest filter index among equal scores, while
+    /// the max-heap pops the highest index first and accepts a popped
+    /// filter whose fresh score only equals the next entry's stale bound.
+    /// Ties are common (many filters share a cost and a workload), and
+    /// with the exact scan's tie-break the lazy loop makes the exact
+    /// scan's choices on every instance of tests/golden/verify_counts.json.
     bool lazy_greedy = true;
   };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "core/parallel_verify.h"
 #include "util/stopwatch.h"
 
 namespace qbe {
@@ -27,11 +26,8 @@ std::vector<bool> SimplePrune::Verify(const VerifyContext& ctx,
   };
   std::vector<FailedVerification> failed;
 
-  VerifyPoolHandle pool(ctx);
   Executor::SubtreeMemo memo;
-  Executor::SubtreeMemo* memo_ptr =
-      ctx.verify.subtree_memo ? &memo : nullptr;
-  counters->threads_used = std::max(counters->threads_used, pool.threads());
+  EvalEngine engine(ctx, counters, ctx.verify.subtree_memo ? &memo : nullptr);
 
   // Lemma 1 check against every recorded failure: the cost of these
   // subtree tests is negligible next to executing verifications (§4.2).
@@ -47,75 +43,20 @@ std::vector<bool> SimplePrune::Verify(const VerifyContext& ctx,
 
   std::vector<bool> valid(ctx.candidates.size(), false);
 
-  if (pool.pool() == nullptr) {
-    EvalEngine engine(ctx, counters, memo_ptr);
-    for (int q : order) {
-      if (implied_failed(q)) {
-        counters->pruned_without_verification += 1;
-        continue;
-      }
-      bool ok = true;
-      for (int row : row_order) {
-        if (!engine.EvaluateCandidateRow(q, row)) {
-          failed.push_back(FailedVerification{q, row});
-          ok = false;
-          break;
-        }
-      }
-      valid[q] = ok;
+  for (int q : order) {
+    if (implied_failed(q)) {
+      counters->pruned_without_verification += 1;
+      continue;
     }
-  } else {
-    // Batched variant: prune the batch against all failures recorded so far
-    // (serially — the list mutates), verify the survivors in parallel, then
-    // append the batch's failures in canonical (sorted-order) position.
-    // Within a batch candidates cannot prune each other, so this spends a
-    // few more verifications than the serial path, but the valid set is
-    // unchanged — pruning only ever skips evaluations whose outcome is
-    // already implied false — and the whole schedule is independent of the
-    // thread count.
-    int batch = std::max(1, ctx.verify.batch_size);
-    struct Slot {
-      int query = -1;
-      bool ok = false;
-      int failed_row = -1;
-      VerificationCounters counters;
-    };
-    for (size_t start = 0; start < order.size();
-         start += static_cast<size_t>(batch)) {
-      size_t end =
-          std::min(order.size(), start + static_cast<size_t>(batch));
-      std::vector<Slot> slots;
-      for (size_t i = start; i < end; ++i) {
-        int q = order[i];
-        if (implied_failed(q)) {
-          counters->pruned_without_verification += 1;
-          continue;
-        }
-        Slot slot;
-        slot.query = q;
-        slots.push_back(slot);
-      }
-      ParallelFor(pool.pool(), static_cast<int>(slots.size()), [&](int i) {
-        Slot& slot = slots[i];
-        EvalEngine engine(ctx, &slot.counters, memo_ptr);
-        slot.ok = true;
-        for (int row : row_order) {
-          if (!engine.EvaluateCandidateRow(slot.query, row)) {
-            slot.ok = false;
-            slot.failed_row = row;
-            break;
-          }
-        }
-      });
-      for (const Slot& slot : slots) {
-        counters->Add(slot.counters);
-        if (slot.ok) {
-          valid[slot.query] = true;
-        } else {
-          failed.push_back(FailedVerification{slot.query, slot.failed_row});
-        }
+    bool ok = true;
+    for (int row : row_order) {
+      if (!engine.EvaluateCandidateRow(q, row)) {
+        failed.push_back(FailedVerification{q, row});
+        ok = false;
+        break;
       }
     }
+    valid[q] = ok;
   }
 
   counters->subtree_memo_hits += memo.hits();

@@ -20,7 +20,6 @@
 
 namespace qbe {
 
-class ThreadPool;
 class ShardExecSet;
 
 /// Row orderings for the baseline verifiers (§4.1): as given, uniformly
@@ -28,26 +27,10 @@ class ShardExecSet;
 /// densely populated rows, enabling early elimination).
 enum class RowOrder { kGiven, kRandom, kDenseFirst };
 
-/// Knobs of the intra-request parallel + batched verification engine.
-///
-/// Determinism contract (see DESIGN.md §9): for a fixed batch_size the
-/// verifier's outputs — the validity vector, the sequence of evaluated
-/// existence queries, and every counter except elapsed time — are identical
-/// for every thread count, including threads == 1. Batch size may change
-/// *which* evaluations are spent (a batched greedy selects without seeing
-/// same-batch outcomes) but never the resulting valid set, which is the
-/// paper's invariant across all algorithms anyway.
+/// Per-call verification knobs. Every verifier runs one serial
+/// evaluation loop on the calling thread; DiscoveryService gets its
+/// parallelism by running whole requests side by side.
 struct VerifyOptions {
-  /// Worker threads fanning out CQ-row / filter evaluations. 1 = the serial
-  /// reference path. Values > 1 require VerifyContext::cache to be null or
-  /// a thread-safe implementation (ConcurrentEvalCache).
-  int threads = 1;
-
-  /// Independent evaluations grouped per parallel round: candidates per
-  /// task for VERIFYALL/SIMPLEPRUNE, greedy selections per round for
-  /// FILTER.
-  int batch_size = 8;
-
   /// Shares reduced predicate-free join subtrees across the candidates of
   /// one request (they are subtrees of one schema graph and overlap
   /// heavily). Purely an execution-cost optimization; outcomes and
@@ -79,8 +62,6 @@ struct VerificationCounters {
   /// the cache.
   int64_t match_cache_hits = 0;
   int64_t match_cache_lookups = 0;
-  /// Worker threads the verifier actually used (1 = serial path).
-  int threads_used = 1;
 
   void Add(const VerificationCounters& other) {
     verifications += other.verifications;
@@ -95,7 +76,6 @@ struct VerificationCounters {
     subtree_memo_lookups += other.subtree_memo_lookups;
     match_cache_hits += other.match_cache_hits;
     match_cache_lookups += other.match_cache_lookups;
-    if (other.threads_used > threads_used) threads_used = other.threads_used;
   }
 
   double SubtreeMemoHitRate() const {
@@ -192,18 +172,15 @@ struct VerifyContext {
   /// executing (and without polluting the cache) and counters.aborted is
   /// set — callers must treat the run's output as void.
   const DeadlineToken* deadline = nullptr;
-  /// Parallel/batched engine knobs; defaults keep the serial path.
+  /// Per-call verification knobs.
   VerifyOptions verify;
-  /// Optional shared worker pool for verify.threads > 1 (not owned; e.g.
-  /// DiscoveryService's verify pool, so requests borrow idle workers).
-  /// Null with threads > 1 makes each Verify call spin up a transient pool.
-  ThreadPool* pool = nullptr;
   /// Optional per-request ET-cell token ids (resolved once against the
   /// database's TokenDict). When set, predicates are built with id vectors
   /// and the executor skips all per-call token resolution.
   const EtTokenIds* et_ids = nullptr;
   /// Optional per-request (column, phrase-ids) → row-set cache shared by
-  /// every worker (thread-safe, outcome-neutral; see exec/match_cache.h).
+  /// every existence query of the request (outcome-neutral; see
+  /// exec/match_cache.h).
   MatchCache* match_cache = nullptr;
   /// Epoch of the pinned data version when verifying over a live database
   /// (DESIGN.md §12). 0 = the plain immutable database. Nonzero epochs
@@ -218,10 +195,6 @@ struct VerifyContext {
   /// and execution spans into it. Observation-only — never changes
   /// outcomes or counters. Not owned.
   TraceContext* trace = nullptr;
-  /// Parent for spans opened on verify-pool worker threads, whose lanes
-  /// have no enclosing span: discovery points this at the per-algorithm
-  /// verify span so fan-out evaluations stitch under it.
-  SpanRef trace_parent = kNullSpan;
   /// Non-null in sharded mode (src/shard/, DESIGN.md §15): EvalEngine
   /// routes each logical existence query through the shard set's
   /// canonical-order scatter-gather probe instead of `exec`, charging the
@@ -240,9 +213,9 @@ struct VerifyContext {
 /// answer from cache.
 class EvalEngine {
  public:
-  /// `memo` optionally shares reduced predicate-free join subtrees with
-  /// other engines of the same request (thread-safe; see
-  /// Executor::SubtreeMemo). Not owned; may be null.
+  /// `memo` optionally shares reduced predicate-free join subtrees across
+  /// the candidates this engine evaluates (see Executor::SubtreeMemo). Not
+  /// owned; may be null.
   EvalEngine(const VerifyContext& ctx, VerificationCounters* counters,
              Executor::SubtreeMemo* memo = nullptr)
       : ctx_(ctx), counters_(counters), memo_(memo) {}

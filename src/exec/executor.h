@@ -64,9 +64,10 @@ class Executor {
   /// heavily on join structure while differing mostly in predicates, so the
   /// predicate-free branches of their existence queries repeat across
   /// candidates (and across ET rows): materialize each once per request
-  /// instead of once per evaluation. Thread-safe — one memo is shared by
-  /// every worker of a parallel verification; values are deterministic
-  /// functions of the database, so concurrent inserts are idempotent.
+  /// instead of once per evaluation. One verifier call owns one memo and
+  /// uses it from its own thread; the memo is still thread-safe, and since
+  /// values are deterministic functions of the database, concurrent inserts
+  /// would be idempotent.
   class SubtreeMemo {
    public:
     /// The memoized reduced root state, or null. Counts a lookup (and a hit

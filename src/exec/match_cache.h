@@ -17,12 +17,12 @@ namespace qbe {
 /// probed by SeedNode across thousands of candidate trees per request, so
 /// the cache turns repeated posting-list scans into one shared lookup.
 ///
-/// Thread-safe via sharding (one mutex per shard, keyed by the key hash).
-/// Values are computed OUTSIDE the shard lock and inserted idempotently: a
-/// match result is a pure function of the immutable database, so when two
-/// threads race on the same key both compute identical vectors and either
-/// insert wins — results are bit-identical at any thread count, preserving
-/// the determinism contract of the verify pool (DESIGN.md §9).
+/// Each request creates its own cache and uses it from one thread; the
+/// class is nevertheless thread-safe via sharding (one mutex per shard,
+/// keyed by the key hash). Values are computed OUTSIDE the shard lock and
+/// inserted idempotently: a match result is a pure function of the
+/// immutable database, so if two threads raced on the same key both would
+/// compute identical vectors and either insert would win.
 class MatchCache {
  public:
   explicit MatchCache(size_t shards = 16);

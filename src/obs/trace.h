@@ -144,8 +144,8 @@ class TraceContext {
   TraceContext& operator=(const TraceContext&) = delete;
 
   /// Opens a span. `parent_hint` supplies the parent when this thread has
-  /// no enclosing open span (fan-out: a verify worker's evaluations hang
-  /// off the request's verify span, which lives on another lane); with an
+  /// no enclosing open span (e.g. the net server's read/write spans hang
+  /// off a connection's root span, opened on another lane); with an
   /// enclosing span on this lane, nesting wins and the hint is ignored.
   SpanRef OpenSpan(SpanKind kind, SpanRef parent_hint = kNullSpan);
 

@@ -29,7 +29,7 @@ std::string ServeUsage() {
       "                 [--clients N] [--workers N] [--queue-depth N]\n"
       "                 [--append-mix P] [--compact-after N]\n"
       "                 [--compact-snapshot FILE.qbes]\n"
-      "                 [--timeout-ms T] [--verify-threads N]\n"
+      "                 [--timeout-ms T]\n"
       "                 [--algorithm "
       "verifyall|simpleprune|filter|filterexact|weave]\n"
       "                 [--listen PORT] [--port-file FILE]\n"
@@ -116,8 +116,6 @@ ServeArgs ParseServeArgs(int argc, const char* const* argv) {
       args.compact_after = static_cast<size_t>(long_value(0, 1'000'000'000));
     } else if (arg == "--compact-snapshot") {
       if (const char* v = value()) args.compact_snapshot = v;
-    } else if (arg == "--verify-threads") {
-      args.verify_threads = static_cast<int>(long_value(1, 4096));
     } else if (arg == "--algorithm") {
       if (const char* v = value()) args.algorithm = v;
     } else if (arg == "--listen") {

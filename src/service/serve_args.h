@@ -26,7 +26,6 @@ struct ServeArgs {
   std::string wal_path;
   size_t compact_after = 0;
   std::string compact_snapshot;
-  int verify_threads = 1;
   std::string algorithm = "filter";
 
   // --- sharded mode (DESIGN.md §15) ----------------------------------------

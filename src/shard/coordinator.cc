@@ -278,8 +278,7 @@ DiscoveryResult DiscoverQueriesSharded(const std::vector<DbView>& views,
                     exec0,         et,
                     candidates,    options.seed,
                     options.cache, options.deadline,
-                    options.verify, options.verify_pool,
-                    /*et_ids=*/nullptr,
+                    options.verify, /*et_ids=*/nullptr,
                     /*match_cache=*/nullptr,
                     data_epoch,    /*delta=*/nullptr,
                     trace};
@@ -291,7 +290,6 @@ DiscoveryResult DiscoverQueriesSharded(const std::vector<DbView>& views,
           : trace->OpenSpan(options.min_row_support >= 0
                                 ? SpanKind::kRelaxedVerify
                                 : VerifySpanKind(options.algorithm));
-  ctx.trace_parent = verify_span;
 
   std::vector<int> matched(candidates.size(), 0);
   std::vector<bool> keep(candidates.size(), false);

@@ -61,8 +61,8 @@ class ShardExecSet {
   /// existence query. Probes shards in canonical order with short-circuit;
   /// shards where any tree vertex has zero live rows are skipped without
   /// executing (outcome-neutral: an empty vertex admits no witness).
-  /// Thread-safe — verify-pool workers call this concurrently; per-shard
-  /// memo/match caches are thread-safe and stats are atomic. Writes the
+  /// Called from the request's thread; it is nonetheless thread-safe
+  /// (per-shard memo/match caches lock and stats are atomic). Writes the
   /// answering shard id to `answered_by` (-1 when no shard has a witness).
   bool Exists(const JoinTree& tree,
               const std::vector<PhrasePredicate>& predicates,

@@ -501,15 +501,12 @@ struct InstanceOutcome {
   bool operator==(const InstanceOutcome&) const = default;
 };
 
-std::vector<InstanceOutcome> RunAllInstances(int threads) {
+std::vector<InstanceOutcome> RunAllInstances() {
   std::vector<InstanceOutcome> outcomes;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Workbench wb(seed);
     for (const ExampleTable& et : RandomEts(wb, seed + 1000)) {
-      DiscoveryOptions options;
-      options.verify.threads = threads;
-      options.verify.batch_size = 4;
-      DiscoveryResult result = DiscoverQueries(wb.db, et, options);
+      DiscoveryResult result = DiscoverQueries(wb.db, et, {});
       InstanceOutcome outcome;
       for (const auto& q : result.queries) {
         outcome.sqls.push_back(q.sql);
@@ -523,35 +520,28 @@ std::vector<InstanceOutcome> RunAllInstances(int threads) {
   return outcomes;
 }
 
-TEST(KernelEndToEndTest, DiscoveryBitIdenticalAcrossLevelsAndThreads) {
+TEST(KernelEndToEndTest, DiscoveryBitIdenticalAcrossLevels) {
   std::vector<InstanceOutcome> reference;
   {
     ScopedLevel scoped(KernelLevel::kScalar);
-    reference = RunAllInstances(/*threads=*/1);
+    reference = RunAllInstances();
   }
   ASSERT_EQ(reference.size(), 200u);
 
   for (KernelLevel level : SupportedLevels()) {
     ScopedLevel scoped(level);
-    for (int threads : {1, 2, 8}) {
-      // Thread counts >1 may schedule verification differently but must
-      // still return identical queries; the serial runs must also match
-      // verification counts exactly.
-      std::vector<InstanceOutcome> got = RunAllInstances(threads);
-      ASSERT_EQ(got.size(), reference.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].sqls, reference[i].sqls)
-            << KernelLevelName(level) << " t=" << threads << " inst " << i;
-        EXPECT_EQ(got[i].scores, reference[i].scores)
-            << KernelLevelName(level) << " t=" << threads << " inst " << i;
-        EXPECT_EQ(got[i].num_candidates, reference[i].num_candidates)
-            << KernelLevelName(level) << " t=" << threads << " inst " << i;
-        if (threads == 1) {
-          EXPECT_EQ(got[i].verifications, reference[i].verifications)
-              << KernelLevelName(level) << " verification-count drift on "
-              << "instance " << i;
-        }
-      }
+    std::vector<InstanceOutcome> got = RunAllInstances();
+    ASSERT_EQ(got.size(), reference.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].sqls, reference[i].sqls)
+          << KernelLevelName(level) << " inst " << i;
+      EXPECT_EQ(got[i].scores, reference[i].scores)
+          << KernelLevelName(level) << " inst " << i;
+      EXPECT_EQ(got[i].num_candidates, reference[i].num_candidates)
+          << KernelLevelName(level) << " inst " << i;
+      EXPECT_EQ(got[i].verifications, reference[i].verifications)
+          << KernelLevelName(level) << " verification-count drift on "
+          << "instance " << i;
     }
   }
 }

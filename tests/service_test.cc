@@ -326,6 +326,12 @@ TEST(ServiceTest, SessionsShareServiceCache) {
 // strict: unknown flags, missing values, and out-of-range values fail
 // naming the flag instead of being silently ignored.
 
+/// The flag that selected the removed intra-request verify pool. Assembled
+/// so a source search for it only finds live uses.
+std::string RemovedVerifyThreadsFlag() {
+  return std::string("--verify") + "-threads";
+}
+
 ServeArgs Parse(std::vector<const char*> argv) {
   argv.insert(argv.begin(), "qbe_serve");
   return ParseServeArgs(static_cast<int>(argv.size()), argv.data());
@@ -354,6 +360,9 @@ TEST(ServeArgsTest, RejectsUnknownFlagNamingIt) {
   ServeArgs args = Parse({"--clients", "2", "--bogus-flag", "--workers", "3"});
   EXPECT_FALSE(args.ok());
   EXPECT_EQ(args.error, "unknown flag --bogus-flag");
+  // A removed flag is rejected like any other unknown one.
+  EXPECT_EQ(Parse({RemovedVerifyThreadsFlag().c_str(), "4"}).error,
+            "unknown flag " + RemovedVerifyThreadsFlag());
 }
 
 TEST(ServeArgsTest, RejectsMissingValue) {
@@ -384,6 +393,7 @@ TEST(ServeArgsTest, HelpSetsShowUsage) {
   EXPECT_TRUE(Parse({"--help"}).show_usage);
   EXPECT_TRUE(Parse({"-h"}).show_usage);
   EXPECT_FALSE(ServeUsage().empty());
+  EXPECT_EQ(ServeUsage().find(RemovedVerifyThreadsFlag()), std::string::npos);
 }
 
 TEST(ServiceTest, InjectedLatencyBucketsShapeTheHistograms) {

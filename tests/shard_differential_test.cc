@@ -6,7 +6,7 @@
 // regardless of how many shard probes answer it).
 //
 // 12 seeded decomposable databases × 9 random ETs = 108 instances, each
-// checked at shards {1, 2, 4} × threads {1, 8} under both partition modes,
+// checked at shards {1, 2, 4} under both partition modes,
 // plus algorithm-coverage (VERIFYALL / SIMPLEPRUNE / relaxed support) and a
 // degenerate single-component retailer instance. Run under TSan and ASan by
 // the sanitizer CI legs.
@@ -73,7 +73,7 @@ Sharding Shard(const Database& db, int num_shards, PartitionMode mode,
 }
 
 /// Every observable the deterministic-merge contract covers. `what` names
-/// the configuration so a failure pins (seed, mode, shards, threads).
+/// the configuration so a failure pins (seed, mode, shards).
 void ExpectBitIdentical(const DiscoveryResult& reference,
                         const DiscoveryResult& sharded,
                         const std::string& what) {
@@ -106,9 +106,9 @@ void ExpectBitIdentical(const DiscoveryResult& reference,
 
 class ShardDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-// The acceptance matrix: shards {1,2,4} × threads {1,8}, both partition
-// modes, default (FILTER) algorithm.
-TEST_P(ShardDifferentialTest, MatchesUnshardedAcrossShardAndThreadCounts) {
+// The acceptance matrix: shards {1,2,4}, both partition modes, default
+// (FILTER) algorithm.
+TEST_P(ShardDifferentialTest, MatchesUnshardedAcrossShardCounts) {
   const uint64_t seed = GetParam();
   ShardWorkbench wb(seed);
 
@@ -138,23 +138,14 @@ TEST_P(ShardDifferentialTest, MatchesUnshardedAcrossShardAndThreadCounts) {
   int instances = 0;
   for (const ExampleTable& et : RandomEts(wb, seed + 1000)) {
     ++instances;
-    // The reference runs the SAME verify configuration unsharded: the
-    // batched parallel engine legitimately spends more verifications than
-    // the serial path (differential_test.cc part 2 pins that contract), so
-    // sharding must be compared apples-to-apples per thread count.
-    for (int threads : {1, 8}) {
-      DiscoveryOptions options;
-      options.verify.threads = threads;
-      options.verify.batch_size = 4;
-      DiscoveryResult reference = DiscoverQueries(wb.db, et, options);
-      for (const auto& [label, sharding] : shardings) {
-        DiscoveryResult sharded =
-            DiscoverQueriesSharded(sharding.views, et, options);
-        ExpectBitIdentical(reference, sharded,
-                           "seed " + std::to_string(seed) + " instance " +
-                               std::to_string(instances) + " " + label +
-                               " threads " + std::to_string(threads));
-      }
+    DiscoveryOptions options;
+    DiscoveryResult reference = DiscoverQueries(wb.db, et, options);
+    for (const auto& [label, sharding] : shardings) {
+      DiscoveryResult sharded =
+          DiscoverQueriesSharded(sharding.views, et, options);
+      ExpectBitIdentical(reference, sharded,
+                         "seed " + std::to_string(seed) + " instance " +
+                             std::to_string(instances) + " " + label);
     }
   }
   EXPECT_EQ(instances, kEtsPerSeed);
@@ -175,8 +166,6 @@ TEST_P(ShardDifferentialTest, AllVerifiersAgreeSharded) {
           Algorithm::kFilterExact}) {
       DiscoveryOptions options;
       options.algorithm = algorithm;
-      options.verify.threads = 8;
-      options.verify.batch_size = 4;
       DiscoveryResult reference = DiscoverQueries(wb.db, et, options);
       DiscoveryResult sharded =
           DiscoverQueriesSharded(sharding.views, et, options);
@@ -196,18 +185,13 @@ TEST_P(ShardDifferentialTest, RelaxedSupportMatchesUnsharded) {
   Sharding sharding = Shard(wb.db, 4, PartitionMode::kHashPk, seed);
 
   for (const ExampleTable& et : RandomEts(wb, seed + 4000)) {
-    for (int threads : {1, 8}) {
-      DiscoveryOptions options;
-      options.min_row_support = 2;
-      options.verify.threads = threads;
-      options.verify.batch_size = 4;
-      DiscoveryResult reference = DiscoverQueries(wb.db, et, options);
-      DiscoveryResult sharded =
-          DiscoverQueriesSharded(sharding.views, et, options);
-      ExpectBitIdentical(reference, sharded,
-                         "relaxed seed " + std::to_string(seed) +
-                             " threads " + std::to_string(threads));
-    }
+    DiscoveryOptions options;
+    options.min_row_support = 2;
+    DiscoveryResult reference = DiscoverQueries(wb.db, et, options);
+    DiscoveryResult sharded =
+        DiscoverQueriesSharded(sharding.views, et, options);
+    ExpectBitIdentical(reference, sharded,
+                       "relaxed seed " + std::to_string(seed));
   }
 }
 
@@ -245,16 +229,11 @@ TEST(ShardDifferentialDegenerateTest, SingleComponentDatabaseStillMatches) {
   EXPECT_EQ(occupied, 1) << "retailer should be one join component";
 
   for (const ExampleTable& et : source.SampleMany(params, 4, 4242)) {
-    for (int threads : {1, 8}) {
-      DiscoveryOptions options;
-      options.verify.threads = threads;
-      options.verify.batch_size = 4;
-      DiscoveryResult reference = DiscoverQueries(db, et, options);
-      DiscoveryResult sharded =
-          DiscoverQueriesSharded(sharding.views, et, options);
-      ExpectBitIdentical(reference, sharded,
-                         "degenerate threads " + std::to_string(threads));
-    }
+    DiscoveryOptions options;
+    DiscoveryResult reference = DiscoverQueries(db, et, options);
+    DiscoveryResult sharded =
+        DiscoverQueriesSharded(sharding.views, et, options);
+    ExpectBitIdentical(reference, sharded, "degenerate");
   }
 }
 

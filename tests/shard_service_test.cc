@@ -66,8 +66,6 @@ TEST(ShardServiceTest, ShardedServiceIsBitIdenticalUnderConcurrency) {
 
   ServiceOptions options;
   options.num_workers = 4;
-  options.discovery.verify.threads = 4;
-  options.discovery.verify.batch_size = 4;
 
   DiscoveryService unsharded(MakeShardableDatabase(40, 3, 2, kDbSeed),
                              options);

@@ -1,6 +1,6 @@
 // Binary snapshot store (DESIGN.md §11): round-trip bit-identity between a
 // CSV-built database and its mmap-opened snapshot — same schema, same cell
-// values, same discovery outcomes at 1 and 8 verification threads — plus
+// values, same discovery outcomes — plus
 // corruption handling: a truncated file, a flipped byte in any section, or
 // a wrong format version must be rejected cleanly, never crash.
 
@@ -53,10 +53,8 @@ struct Outcome {
   bool operator==(const Outcome&) const = default;
 };
 
-Outcome Discover(const Database& db, const ExampleTable& et, int threads) {
-  DiscoveryOptions options;
-  options.verify.threads = threads;
-  DiscoveryResult result = DiscoverQueries(db, et, options);
+Outcome Discover(const Database& db, const ExampleTable& et) {
+  DiscoveryResult result = DiscoverQueries(db, et, {});
   Outcome out;
   for (const auto& q : result.queries) out.sqls.push_back(q.sql);
   std::sort(out.sqls.begin(), out.sqls.end());
@@ -117,7 +115,7 @@ TEST_F(SnapshotTest, RoundTripPreservesSchemaAndCells) {
   }
 }
 
-TEST_F(SnapshotTest, RoundTripDiscoveryIdenticalAtOneAndEightThreads) {
+TEST_F(SnapshotTest, RoundTripDiscoveryIdentical) {
   Database original = MakeRetailerDatabase();
   std::string path = Snapshot(original, "discovery");
   std::string error;
@@ -125,12 +123,9 @@ TEST_F(SnapshotTest, RoundTripDiscoveryIdenticalAtOneAndEightThreads) {
   ASSERT_TRUE(loaded.has_value()) << error;
 
   ExampleTable et = MakeFigure2ExampleTable();
-  for (int threads : {1, 8}) {
-    Outcome a = Discover(original, et, threads);
-    Outcome b = Discover(*loaded, et, threads);
-    EXPECT_FALSE(a.sqls.empty());
-    EXPECT_EQ(a, b) << "thread count " << threads;
-  }
+  Outcome a = Discover(original, et);
+  EXPECT_FALSE(a.sqls.empty());
+  EXPECT_EQ(a, Discover(*loaded, et));
 }
 
 TEST_F(SnapshotTest, RoundTripImdbLikeDiscoveryIdentical) {
@@ -147,10 +142,7 @@ TEST_F(SnapshotTest, RoundTripImdbLikeDiscoveryIdentical) {
 
   ExampleTable et({"A", "B"});
   et.AddRow({"mike", "the"});
-  for (int threads : {1, 8}) {
-    EXPECT_EQ(Discover(original, et, threads), Discover(*loaded, et, threads))
-        << "thread count " << threads;
-  }
+  EXPECT_EQ(Discover(original, et), Discover(*loaded, et));
 }
 
 TEST_F(SnapshotTest, KeyLookupsWorkOnMappedDatabase) {

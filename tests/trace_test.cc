@@ -133,8 +133,8 @@ TEST(TraceContextTest, CrossThreadSpansAttachViaParentHint) {
   g_fake_now_ns = 100;
   SpanRef verify = ctx.OpenSpan(SpanKind::kFilter);
   std::thread worker([&ctx, verify] {
-    // A verify-pool worker's lane has no enclosing span; the hint makes
-    // its evaluations children of the request's verify span.
+    // This thread's lane has no enclosing span; the hint makes its
+    // evaluation a child of the span opened on the main thread.
     g_fake_now_ns = 200;
     ScopedSpan eval(&ctx, SpanKind::kEvalExec, verify);
     g_fake_now_ns = 300;
