@@ -7,12 +7,12 @@
 //
 // --kernel-ab=PATH switches to the SIMD kernel A/B mode (DESIGN.md §14):
 // the same m = 2..6 sweep runs once per supported dispatch level (scalar,
-// SSE4.2, AVX2 — forced in-process, the QBE_KERNEL equivalents), asserting
-// that verification counts are bit-identical across levels, plus timed
-// micro-kernels for the dense sorted intersection, the phrase shifted-span
-// merge and the semijoin bitmap AND+emit. Per-level wall times and
-// widest-vs-scalar speedups are written as JSON to PATH (the CI bench leg
-// archives it as results/BENCH_PR8.json).
+// AVX2 — forced in-process, the QBE_KERNEL equivalents), asserting that
+// verification counts are bit-identical across levels, plus timed
+// micro-kernels for the dense sorted intersection and the phrase
+// shifted-span merge. Per-level wall times and widest-vs-scalar speedups
+// are written as JSON to PATH (the CI bench leg archives it as
+// results/BENCH_PR8.json).
 
 #include <algorithm>
 #include <chrono>
@@ -31,8 +31,7 @@ namespace {
 
 std::vector<KernelLevel> SupportedLevels() {
   std::vector<KernelLevel> levels;
-  for (KernelLevel level :
-       {KernelLevel::kScalar, KernelLevel::kSse, KernelLevel::kAvx2}) {
+  for (KernelLevel level : {KernelLevel::kScalar, KernelLevel::kAvx2}) {
     if (KernelLevelSupported(level)) levels.push_back(level);
   }
   return levels;
@@ -67,11 +66,10 @@ double BestNsPerCall(int reps, int iters, Body&& body) {
   return best;
 }
 
-/// ns/call of the three micro-kernels at the currently forced level.
+/// ns/call of the two micro-kernels at the currently forced level.
 struct MicroTimes {
   double dense_intersect_ns = 0;
   double phrase_shift_ns = 0;
-  double bitmap_ns = 0;
 };
 
 MicroTimes RunMicro() {
@@ -105,19 +103,6 @@ MicroTimes RunMicro() {
   t.phrase_shift_ns = BestNsPerCall(9, 400, [&] {
     sink += ops.intersect_shifted_u64(cand.data(), cand.size(), span.data(),
                                       span.size(), 1, out64.data());
-  });
-  // Semijoin bitmap: set-batch + AND + emit over 64k rows, ~12% dense.
-  std::vector<uint32_t> rows = SortedUnique32(5, 8192, 65535);
-  std::vector<uint32_t> mask_rows = SortedUnique32(6, 8192, 65535);
-  std::vector<uint64_t> bits, mask;
-  kernels::BitmapClear(&mask, 65536);
-  kernels::BitmapSetBatch(&mask, mask_rows);
-  std::vector<uint32_t> emitted;
-  t.bitmap_ns = BestNsPerCall(7, 200, [&] {
-    kernels::BitmapClear(&bits, 65536);
-    kernels::BitmapSetBatch(&bits, rows);
-    kernels::BitmapAnd(&bits, mask);
-    kernels::BitmapEmitInto(bits, &emitted);
   });
   return t;
 }
@@ -161,10 +146,9 @@ int RunKernelAb(const BenchArgs& args) {
       }
     }
     std::printf("level %-6s  fig09 total %8.2f ms  "
-                "dense-intersect %7.1f ns  phrase %7.1f ns  bitmap %8.1f ns\n",
+                "dense-intersect %7.1f ns  phrase %7.1f ns\n",
                 KernelLevelName(levels[li]), total_millis[li],
-                micro[li].dense_intersect_ns, micro[li].phrase_shift_ns,
-                micro[li].bitmap_ns);
+                micro[li].dense_intersect_ns, micro[li].phrase_shift_ns);
   }
   ForceKernelLevel(prev);
 
@@ -192,15 +176,11 @@ int RunKernelAb(const BenchArgs& args) {
                  micro[li].dense_intersect_ns);
     std::fprintf(f, "    \"phrase_shift_ns_%s\": %.1f,\n", name,
                  micro[li].phrase_shift_ns);
-    std::fprintf(f, "    \"bitmap_ns_%s\": %.1f,\n", name,
-                 micro[li].bitmap_ns);
   }
   std::fprintf(f, "    \"dense_intersect_speedup\": %.3f,\n",
                micro[0].dense_intersect_ns / micro[wi].dense_intersect_ns);
-  std::fprintf(f, "    \"phrase_shift_speedup\": %.3f,\n",
+  std::fprintf(f, "    \"phrase_shift_speedup\": %.3f\n",
                micro[0].phrase_shift_ns / micro[wi].phrase_shift_ns);
-  std::fprintf(f, "    \"bitmap_speedup\": %.3f\n",
-               micro[0].bitmap_ns / micro[wi].bitmap_ns);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"fig09\": {\n");
   for (size_t li = 0; li < levels.size(); ++li) {

@@ -30,10 +30,10 @@ ExecScratch& Scratch() {
   return scratch;
 }
 
-// The semijoin bitmaps run on the dispatched kernel layer (DESIGN.md §14):
-// ClearBitmap/SetBit/TestBit are single-op inlines, EmitBitmap scans set
-// words with ctz (wide levels skip all-zero 256-bit blocks) instead of
-// testing bits one by one.
+// The semijoin bitmaps use the kernel layer's scalar helpers (DESIGN.md
+// §14): BitmapClear/BitmapSet/BitmapTest are single-op inlines, and
+// kernels::BitmapEmitInto scans set words with ctz instead of testing bits
+// one by one.
 using kernels::BitmapClear;
 using kernels::BitmapSet;
 using kernels::BitmapTest;

@@ -16,27 +16,12 @@ namespace {
 constexpr KernelOps kScalarOps = {
     kernel_impl::scalar::IntersectU32,
     kernel_impl::scalar::IntersectShiftedU64,
-    kernel_impl::scalar::BitmapAnd,
-    kernel_impl::scalar::BitmapEmit,
 };
 
 #ifdef QBE_KERNELS_X86
-constexpr KernelOps kSseOps = {
-    kernel_impl::sse::IntersectU32,
-    // Two 64-bit lanes per block don't beat the scalar two-pointer merge
-    // (measured ~10% slower on the phrase micro), so the SSE level keeps
-    // the scalar shifted-span kernel. Per-entry selection is the point of
-    // the ops table: each level ships its fastest correct mix.
-    kernel_impl::scalar::IntersectShiftedU64,
-    kernel_impl::sse::BitmapAnd,
-    kernel_impl::sse::BitmapEmit,
-};
-
 constexpr KernelOps kAvx2Ops = {
     kernel_impl::avx2::IntersectU32,
     kernel_impl::avx2::IntersectShiftedU64,
-    kernel_impl::avx2::BitmapAnd,
-    kernel_impl::avx2::BitmapEmit,
 };
 #endif  // QBE_KERNELS_X86
 
@@ -45,7 +30,6 @@ constexpr KernelOps kAvx2Ops = {
 KernelLevel DetectWidestLevel() {
 #ifdef QBE_KERNELS_X86
   if (__builtin_cpu_supports("avx2")) return KernelLevel::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return KernelLevel::kSse;
 #endif
   return KernelLevel::kScalar;
 }
@@ -65,7 +49,7 @@ KernelLevel ResolveStartupLevel() {
   KernelLevel requested;
   if (!ParseKernelLevel(env, &requested)) {
     std::fprintf(stderr,
-                 "qbe: unknown QBE_KERNEL=\"%s\" (want scalar|sse|avx2); "
+                 "qbe: unknown QBE_KERNEL=\"%s\" (want scalar|avx2); "
                  "using %s\n",
                  env, KernelLevelName(widest));
     return widest;
@@ -89,7 +73,6 @@ std::atomic<int>& ActiveLevelSlot() {
 const char* KernelLevelName(KernelLevel level) {
   switch (level) {
     case KernelLevel::kScalar: return "scalar";
-    case KernelLevel::kSse: return "sse";
     case KernelLevel::kAvx2: return "avx2";
   }
   return "unknown";
@@ -103,8 +86,6 @@ bool ParseKernelLevel(const char* value, KernelLevel* level) {
   if (value == nullptr) return false;
   if (std::strcmp(value, "scalar") == 0) {
     *level = KernelLevel::kScalar;
-  } else if (std::strcmp(value, "sse") == 0) {
-    *level = KernelLevel::kSse;
   } else if (std::strcmp(value, "avx2") == 0) {
     *level = KernelLevel::kAvx2;
   } else {
@@ -131,10 +112,8 @@ const KernelOps& KernelOpsFor(KernelLevel level) {
   switch (level) {
     case KernelLevel::kScalar: return kScalarOps;
 #ifdef QBE_KERNELS_X86
-    case KernelLevel::kSse: return kSseOps;
     case KernelLevel::kAvx2: return kAvx2Ops;
 #else
-    case KernelLevel::kSse:
     case KernelLevel::kAvx2: break;
 #endif
   }
@@ -155,52 +134,22 @@ namespace {
 /// of this boundary at every level.
 constexpr size_t kGallopSkew = 16;
 
-}  // namespace
-
-void IntersectSortedInto(std::span<const uint32_t> a,
-                         std::span<const uint32_t> b,
-                         std::vector<uint32_t>* out) {
+/// Shared body of both IntersectSortedInto overloads. Sorted non-negative
+/// ints order identically to their uint32 bit patterns, so `int` lists run
+/// the same u32 kernel (the identity cast when T is uint32_t).
+template <typename T>
+void IntersectSortedImpl(std::span<const T> a, std::span<const T> b,
+                         std::vector<T>* out) {
+  static_assert(sizeof(T) == sizeof(uint32_t));
   out->clear();
-  const std::span<const uint32_t> small = a.size() <= b.size() ? a : b;
-  const std::span<const uint32_t> large = a.size() <= b.size() ? b : a;
+  const std::span<const T> small = a.size() <= b.size() ? a : b;
+  const std::span<const T> large = a.size() <= b.size() ? b : a;
   if (small.empty()) return;
   if (large.size() / kGallopSkew >= small.size()) {
     // Binary-probe the large side with a shrinking search window.
-    const uint32_t* lo = large.data();
-    const uint32_t* end = large.data() + large.size();
-    for (uint32_t v : small) {
-      lo = std::lower_bound(lo, end, v);
-      if (lo == end) break;
-      if (*lo == v) out->push_back(v);
-    }
-    return;
-  }
-  out->resize(small.size() + kIntersectPad32);
-  const size_t n = ActiveKernelOps().intersect_u32(
-      small.data(), small.size(), large.data(), large.size(), out->data());
-  out->resize(n);
-}
-
-void IntersectSortedInPlace(std::vector<uint32_t>* a,
-                            std::span<const uint32_t> b,
-                            std::vector<uint32_t>* scratch) {
-  IntersectSortedInto(*a, b, scratch);
-  std::swap(*a, *scratch);
-}
-
-void IntersectSortedInto(std::span<const int> a, std::span<const int> b,
-                         std::vector<int>* out) {
-  // Sorted non-negative ints order identically to their uint32 bit
-  // patterns, so the u32 kernels apply unchanged.
-  static_assert(sizeof(int) == sizeof(uint32_t));
-  out->clear();
-  const std::span<const int> small = a.size() <= b.size() ? a : b;
-  const std::span<const int> large = a.size() <= b.size() ? b : a;
-  if (small.empty()) return;
-  if (large.size() / kGallopSkew >= small.size()) {
-    const int* lo = large.data();
-    const int* end = large.data() + large.size();
-    for (int v : small) {
+    const T* lo = large.data();
+    const T* end = large.data() + large.size();
+    for (T v : small) {
       lo = std::lower_bound(lo, end, v);
       if (lo == end) break;
       if (*lo == v) out->push_back(v);
@@ -213,6 +162,26 @@ void IntersectSortedInto(std::span<const int> a, std::span<const int> b,
       reinterpret_cast<const uint32_t*>(large.data()), large.size(),
       reinterpret_cast<uint32_t*>(out->data()));
   out->resize(n);
+}
+
+}  // namespace
+
+void IntersectSortedInto(std::span<const uint32_t> a,
+                         std::span<const uint32_t> b,
+                         std::vector<uint32_t>* out) {
+  IntersectSortedImpl(a, b, out);
+}
+
+void IntersectSortedInPlace(std::vector<uint32_t>* a,
+                            std::span<const uint32_t> b,
+                            std::vector<uint32_t>* scratch) {
+  IntersectSortedInto(*a, b, scratch);
+  std::swap(*a, *scratch);
+}
+
+void IntersectSortedInto(std::span<const int> a, std::span<const int> b,
+                         std::vector<int>* out) {
+  IntersectSortedImpl(a, b, out);
 }
 
 void IntersectSortedInPlace(std::vector<int>* a, std::span<const int> b,
@@ -255,25 +224,19 @@ void BitmapSetBatch(std::vector<uint64_t>* bits,
   }
 }
 
-void BitmapAnd(std::vector<uint64_t>* bits,
-               std::span<const uint64_t> other) {
-  const size_t n = std::min(bits->size(), other.size());
-  ActiveKernelOps().bitmap_and(bits->data(), other.data(), n);
-  // A shorter `other` implicitly zero-extends.
-  if (other.size() < bits->size()) {
-    std::fill(bits->begin() + other.size(), bits->end(), 0);
-  }
-}
-
 void BitmapEmitInto(const std::vector<uint64_t>& bits,
                     std::vector<uint32_t>* out) {
   size_t total = 0;
   for (uint64_t word : bits) total += std::popcount(word);
   out->resize(total);
-  const size_t n =
-      ActiveKernelOps().bitmap_emit(bits.data(), bits.size(), out->data());
-  QBE_DCHECK(n == total);
-  (void)n;
+  uint32_t* dst = out->data();
+  for (size_t w = 0; w < bits.size(); ++w) {
+    uint64_t word = bits[w];
+    while (word != 0) {
+      *dst++ = static_cast<uint32_t>(w * 64 + std::countr_zero(word));
+      word &= word - 1;  // clear lowest set bit
+    }
+  }
 }
 
 }  // namespace kernels

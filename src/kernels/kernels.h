@@ -8,12 +8,12 @@
 namespace qbe {
 
 /// CPU-feature runtime-dispatched kernels under the verification hot path
-/// (DESIGN.md §14). Every scalar loop that dominates CQ-row verification —
-/// sorted-uint32 set intersection, the positional shifted-span merge behind
-/// phrase matching, and the semijoin row bitmaps — funnels through one of
-/// the function pointers in KernelOps. The table is selected once at
-/// startup from CPUID (AVX2 → SSE4.2 → portable scalar), overridable with
-/// QBE_KERNEL=scalar|sse|avx2 for testing and A/B benching.
+/// (DESIGN.md §14). The two array loops that dominate CQ-row verification —
+/// sorted-uint32 set intersection and the positional shifted-span merge
+/// behind phrase matching — funnel through the function pointers in
+/// KernelOps. The table is selected once at startup from CPUID (AVX2, else
+/// portable scalar), overridable with QBE_KERNEL=scalar|avx2 for testing and
+/// A/B benching. The semijoin row-bitmap helpers below are plain scalar code.
 ///
 /// Contract: every kernel is bit-identical to the scalar oracle — same
 /// output values in the same order for any input — so the dispatch level
@@ -21,11 +21,11 @@ namespace qbe {
 /// sets. tests/kernels_test.cc enforces this differentially, and the golden
 /// harness (tests/golden/verify_counts.json) pins the end-to-end counts.
 
-/// Dispatch levels, widest last. On non-x86 builds only kScalar exists.
+/// Dispatch levels, widest last. On non-x86 builds only kScalar exists. The
+/// values are the exported `kernel_level` gauge, so they stay fixed.
 enum class KernelLevel : int {
   kScalar = 0,
-  kSse = 1,   // SSE4.2: 4×32-bit / 2×64-bit shuffle-compare blocks
-  kAvx2 = 2,  // AVX2: 8×32-bit / 4×64-bit blocks + 256-bit bitmap ops
+  kAvx2 = 2,  // AVX2: 8×32-bit / 4×64-bit shuffle-compare blocks
 };
 
 const char* KernelLevelName(KernelLevel level);
@@ -38,8 +38,7 @@ bool KernelLevelSupported(KernelLevel level);
 /// first use: the widest supported level, unless QBE_KERNEL requests a
 /// narrower one (an unsupported or unknown request falls back to the widest
 /// supported level with a stderr note — a service must never crash on a
-/// config typo, and a CPU without AVX2 silently gets the graceful scalar /
-/// SSE fallback).
+/// config typo, and a CPU without AVX2 silently gets the scalar fallback).
 KernelLevel ActiveKernelLevel();
 
 /// Test/bench seam: swaps the active dispatch table. QBE_CHECKs that
@@ -47,14 +46,13 @@ KernelLevel ActiveKernelLevel();
 /// between requests only (tests and the A/B bench driver do).
 void ForceKernelLevel(KernelLevel level);
 
-/// Parses a QBE_KERNEL-style value ("scalar"|"sse"|"avx2"). Returns false
+/// Parses a QBE_KERNEL-style value ("scalar"|"avx2"). Returns false
 /// on anything else. Exposed for unit tests.
 bool ParseKernelLevel(const char* value, KernelLevel* level);
 
-/// Raw per-level entry points. All array variants may read/write full
-/// vector blocks, so destination buffers need the documented slack; the
-/// IntersectSortedInto-style wrappers below handle sizing and are what
-/// product code calls.
+/// Raw per-level entry points. Both may write full vector blocks, so
+/// destination buffers need the documented slack; the IntersectSortedInto-
+/// style wrappers below handle sizing and are what product code calls.
 struct KernelOps {
   /// Sorted-unique u32 intersection (dense linear/SIMD merge; the gallop
   /// hybrid for skewed inputs lives in the wrapper). Writes the ascending
@@ -68,15 +66,6 @@ struct KernelOps {
   size_t (*intersect_shifted_u64)(const uint64_t* cand, size_t nc,
                                   const uint64_t* span, size_t ns,
                                   uint64_t shift, uint64_t* out);
-  /// words[i] &= other[i] for i < num_words.
-  void (*bitmap_and)(uint64_t* words, const uint64_t* other,
-                     size_t num_words);
-  /// Emits the set bit positions of a word array in ascending order via
-  /// ctz (satellite of ISSUE 8: never tests bits one by one); the wide
-  /// levels additionally skip all-zero blocks 256 bits at a time. Returns
-  /// the number of positions written; `out` must hold 64 * num_words.
-  size_t (*bitmap_emit)(const uint64_t* words, size_t num_words,
-                        uint32_t* out);
 };
 
 /// Vector-block slack the raw intersect kernels may write past their
@@ -123,8 +112,8 @@ void IntersectShiftedInPlace(std::vector<uint64_t>* cand,
                              std::vector<uint64_t>* scratch);
 
 /// Semijoin row-bitmap helpers over a uint64-word bitmap sized by
-/// BitmapClear. Set/Test are single-instruction inlines (nothing to
-/// dispatch); And/Emit go through the active kernel table.
+/// BitmapClear. Scalar at every level: Set/Test are single-instruction
+/// inlines, and SIMD emit measured no faster than the ctz word scan.
 inline void BitmapClear(std::vector<uint64_t>* bits, size_t num_rows) {
   bits->assign((num_rows + 63) / 64, 0);
 }
@@ -140,9 +129,6 @@ inline bool BitmapTest(const std::vector<uint64_t>& bits, uint32_t row) {
 /// Sets one bit per row; rows need not be sorted or distinct.
 void BitmapSetBatch(std::vector<uint64_t>* bits,
                     std::span<const uint32_t> rows);
-
-void BitmapAnd(std::vector<uint64_t>* bits,
-               std::span<const uint64_t> other);
 
 /// Emits the set rows of `bits` into `*out` in ascending order — the
 /// sorted-distinct row set without a sort, O(rows/64 + |set|).

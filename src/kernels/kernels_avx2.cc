@@ -6,28 +6,7 @@
 
 #include "kernels/kernel_impl.h"
 
-#if defined(QBE_KERNELS_X86) && !defined(__AVX2__)
-// x86 build without -mavx2 on this TU (unexpected toolchain config): keep
-// the symbols, forward to the scalar oracle — dispatch still works, just
-// without the speedup.
-namespace qbe::kernel_impl::avx2 {
-size_t IntersectU32(const uint32_t* a, size_t na, const uint32_t* b,
-                    size_t nb, uint32_t* out) {
-  return scalar::IntersectU32(a, na, b, nb, out);
-}
-size_t IntersectShiftedU64(const uint64_t* cand, size_t nc,
-                           const uint64_t* span, size_t ns, uint64_t shift,
-                           uint64_t* out) {
-  return scalar::IntersectShiftedU64(cand, nc, span, ns, shift, out);
-}
-void BitmapAnd(uint64_t* words, const uint64_t* other, size_t num_words) {
-  scalar::BitmapAnd(words, other, num_words);
-}
-size_t BitmapEmit(const uint64_t* words, size_t num_words, uint32_t* out) {
-  return scalar::BitmapEmit(words, num_words, out);
-}
-}  // namespace qbe::kernel_impl::avx2
-#elif defined(QBE_KERNELS_X86)
+#ifdef QBE_KERNELS_X86
 
 #include <immintrin.h>
 
@@ -190,45 +169,6 @@ size_t IntersectShiftedU64(const uint64_t* cand, size_t nc,
       out[n++] = cand[i];
       ++i;
       ++j;
-    }
-  }
-  return n;
-}
-
-void BitmapAnd(uint64_t* words, const uint64_t* other, size_t num_words) {
-  size_t w = 0;
-  for (; w + 4 <= num_words; w += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + w));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(other + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(words + w),
-                        _mm256_and_si256(a, b));
-  }
-  for (; w < num_words; ++w) words[w] &= other[w];
-}
-
-size_t BitmapEmit(const uint64_t* words, size_t num_words, uint32_t* out) {
-  size_t n = 0, w = 0;
-  for (; w + 4 <= num_words; w += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + w));
-    if (_mm256_testz_si256(v, v)) continue;  // skip all-zero 256-bit blocks
-    for (size_t k = w; k < w + 4; ++k) {
-      uint64_t word = words[k];
-      while (word != 0) {
-        out[n++] = static_cast<uint32_t>(
-            k * 64 + static_cast<size_t>(__builtin_ctzll(word)));
-        word &= word - 1;
-      }
-    }
-  }
-  for (; w < num_words; ++w) {
-    uint64_t word = words[w];
-    while (word != 0) {
-      out[n++] = static_cast<uint32_t>(
-          w * 64 + static_cast<size_t>(__builtin_ctzll(word)));
-      word &= word - 1;
     }
   }
   return n;

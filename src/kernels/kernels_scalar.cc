@@ -1,9 +1,7 @@
-// Portable scalar kernels — the oracle every vector level must match
+// Portable scalar kernels — the oracle the AVX2 level must match
 // bit-for-bit, and the dispatch floor on CPUs (or architectures) without
-// SSE4.2/AVX2. Plain two-pointer merges and ctz word scans; the compiler
-// is free to autovectorize, but correctness never depends on it.
-
-#include <bit>
+// AVX2. Plain two-pointer merges; the compiler is free to autovectorize,
+// but correctness never depends on it.
 
 #include "kernels/kernel_impl.h"
 
@@ -41,22 +39,6 @@ size_t IntersectShiftedU64(const uint64_t* cand, size_t nc,
       out[n++] = cand[i];
       ++i;
       ++j;
-    }
-  }
-  return n;
-}
-
-void BitmapAnd(uint64_t* words, const uint64_t* other, size_t num_words) {
-  for (size_t w = 0; w < num_words; ++w) words[w] &= other[w];
-}
-
-size_t BitmapEmit(const uint64_t* words, size_t num_words, uint32_t* out) {
-  size_t n = 0;
-  for (size_t w = 0; w < num_words; ++w) {
-    uint64_t word = words[w];
-    while (word != 0) {
-      out[n++] = static_cast<uint32_t>(w * 64 + std::countr_zero(word));
-      word &= word - 1;  // clear lowest set bit
     }
   }
   return n;

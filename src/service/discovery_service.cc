@@ -523,8 +523,8 @@ void DiscoveryService::RefreshGauges() {
   metrics_.SetGauge("delta_tombstones", tombstones);
   metrics_.SetGauge("wal_attached", all_wals ? 1.0 : 0.0);
   metrics_.SetGauge("num_shards", static_cast<double>(num_shards()));
-  // 0 = scalar, 1 = sse, 2 = avx2 (KernelLevel enum values) — which SIMD
-  // dispatch level the verification hot path runs under.
+  // 0 = scalar, 2 = avx2 (KernelLevel enum values) — which SIMD dispatch
+  // level the verification hot path runs under.
   metrics_.SetGauge("kernel_level",
                     static_cast<double>(ActiveKernelLevel()));
 }

@@ -11,8 +11,8 @@ namespace qbe {
 
 /// Intersection of two sorted, deduplicated uint32 row sets into `*out`
 /// (cleared first; capacity is reused). Dispatches to the SIMD kernel
-/// layer (DESIGN.md §14): dense merges run the runtime-selected
-/// AVX2/SSE4.2/scalar kernel; when one side is ≥16x smaller it gallops —
+/// layer (DESIGN.md §14): dense merges run the runtime-selected AVX2 or
+/// scalar kernel; when one side is ≥16x smaller it gallops —
 /// binary-probes the larger side with a shrinking search window — which is
 /// the shape semijoin reductions and selective-predicate seeds hit
 /// constantly (a handful of candidate rows against a large reduced set).

@@ -2,7 +2,7 @@
 // (src/kernels/, DESIGN.md §14).
 //
 // The layer's whole contract is bit-identity: whatever CPU level dispatch
-// picks (scalar, SSE4.2, AVX2), every kernel must produce byte-for-byte the
+// picks (scalar or AVX2), every kernel must produce byte-for-byte the
 // output of the portable scalar oracle. This suite enforces that at three
 // granularities:
 //
@@ -10,9 +10,9 @@
 //     level against an independent std:: oracle, across sizes 0..1k,
 //     overlap densities, the 16x gallop-boundary shapes, block-unaligned
 //     tails, and adversarial bit patterns;
-//  2. wrapper semantics — the IntersectSorted*/IntersectShifted*/Bitmap*
-//     wrappers under ForceKernelLevel, including the gallop hybrid and the
-//     zero-extension rule of BitmapAnd;
+//  2. wrapper semantics — the IntersectSorted*/IntersectShifted* wrappers
+//     under ForceKernelLevel, including the gallop hybrid, plus the
+//     level-independent Bitmap* helpers against a bit-loop oracle;
 //  3. end-to-end — 20 seeded scaled-retailer databases × 10 random ETs =
 //     200 discovery instances run under every supported level: ranked
 //     query sets, scores, candidate counts and verification counts must
@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/discovery.h"
@@ -41,8 +42,7 @@ namespace {
 
 std::vector<KernelLevel> SupportedLevels() {
   std::vector<KernelLevel> levels;
-  for (KernelLevel level :
-       {KernelLevel::kScalar, KernelLevel::kSse, KernelLevel::kAvx2}) {
+  for (KernelLevel level : {KernelLevel::kScalar, KernelLevel::kAvx2}) {
     if (KernelLevelSupported(level)) levels.push_back(level);
   }
   return levels;
@@ -110,7 +110,7 @@ void CheckIntersectU32(const KernelOps& ops, const char* level_name,
 
 TEST(IntersectU32Test, AllLevelsMatchOracleAcrossSizesAndDensities) {
   std::mt19937_64 rng(20260808);
-  // Sizes straddle every SIMD block boundary (4 for SSE, 8 for AVX2) plus
+  // Sizes straddle the AVX2 8-lane block boundary (and its halves) plus
   // zero/one/odd tails and up-to-1k bulk.
   const size_t kSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17,
                            31, 32, 33, 63, 64, 65, 100, 127, 128, 129,
@@ -239,61 +239,13 @@ TEST(IntersectShiftedU64Test, SelfShiftAndHighBitPatterns) {
     std::vector<uint64_t> consecutive;
     for (uint64_t i = 0; i < 70; ++i) consecutive.push_back(i);
     CheckShiftedU64(ops, name, consecutive, consecutive, 1);
-    // Values with the sign bit set: _mm_cmpeq_epi64 is bit-exact, but the
+    // Values with the sign bit set: _mm256_cmpeq_epi64 is bit-exact, but the
     // advance logic must stay unsigned.
     std::vector<uint64_t> hi = {0ull, 1ull, 0x7FFFFFFFFFFFFFFFull,
                                 0x8000000000000000ull, 0x8000000000000001ull,
                                 0xFFFFFFFFFFFFFFFEull};
     CheckShiftedU64(ops, name, hi, hi, 0);
     CheckShiftedU64(ops, name, hi, hi, 1);
-  }
-}
-
-TEST(BitmapKernelsTest, AndAndEmitMatchOracle) {
-  std::mt19937_64 rng(4242);
-  const size_t kWordCounts[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 40};
-  for (KernelLevel level : SupportedLevels()) {
-    const KernelOps& ops = KernelOpsFor(level);
-    for (size_t nw : kWordCounts) {
-      // Density sweep incl. all-zero and all-ones words; long zero runs
-      // exercise the wide levels' 256-bit block skip.
-      for (int density = 0; density < 4; ++density) {
-        std::vector<uint64_t> words(nw), other(nw);
-        for (size_t i = 0; i < nw; ++i) {
-          switch (density) {
-            case 0: words[i] = 0; other[i] = rng(); break;
-            case 1: words[i] = ~0ull; other[i] = ~0ull; break;
-            case 2:  // sparse: a few bits, zero runs between
-              words[i] = (i % 3 == 0) ? (1ull << (i % 64)) : 0;
-              other[i] = (i % 5 == 0) ? words[i] : ~0ull;
-              break;
-            default: words[i] = rng(); other[i] = rng();
-          }
-        }
-        // bitmap_and vs scalar loop.
-        std::vector<uint64_t> got = words;
-        ops.bitmap_and(got.data(), other.data(), nw);
-        std::vector<uint64_t> expected = words;
-        for (size_t i = 0; i < nw; ++i) expected[i] &= other[i];
-        EXPECT_EQ(got, expected)
-            << KernelLevelName(level) << " nw=" << nw << " d=" << density;
-        // bitmap_emit vs bit loop.
-        std::vector<uint32_t> rows_expected;
-        for (size_t i = 0; i < nw; ++i) {
-          for (int b = 0; b < 64; ++b) {
-            if ((expected[i] >> b) & 1) {
-              rows_expected.push_back(static_cast<uint32_t>(i * 64 + b));
-            }
-          }
-        }
-        std::vector<uint32_t> rows(nw * 64 + 1, 0xABABABABu);
-        size_t n = ops.bitmap_emit(expected.data(), nw, rows.data());
-        ASSERT_EQ(n, rows_expected.size()) << KernelLevelName(level);
-        rows.resize(n);
-        EXPECT_EQ(rows, rows_expected)
-            << KernelLevelName(level) << " nw=" << nw << " d=" << density;
-      }
-    }
   }
 }
 
@@ -336,24 +288,27 @@ TEST(WrapperTest, IntOverloadsMatchUnsigned) {
   std::mt19937_64 rng(5);
   for (KernelLevel level : SupportedLevels()) {
     ScopedLevel scoped(level);
-    std::vector<int> a, b;
-    for (uint32_t v : RandomSortedUnique32(rng, 200, 1000)) {
-      a.push_back(static_cast<int>(v));
+    // 200x150 takes the dense kernel, 4x1000 the gallop path.
+    for (auto [na, nb] : {std::pair<size_t, size_t>{200, 150}, {4, 1000}}) {
+      std::vector<int> a, b;
+      for (uint32_t v : RandomSortedUnique32(rng, na, 1000)) {
+        a.push_back(static_cast<int>(v));
+      }
+      for (uint32_t v : RandomSortedUnique32(rng, nb, 1000)) {
+        b.push_back(static_cast<int>(v));
+      }
+      std::vector<int> expected;
+      std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                            std::back_inserter(expected));
+      std::vector<int> out;
+      kernels::IntersectSortedInto(std::span<const int>(a),
+                                   std::span<const int>(b), &out);
+      EXPECT_EQ(out, expected) << KernelLevelName(level) << " " << na;
+      std::vector<int> acc = a;
+      std::vector<int> scratch;
+      kernels::IntersectSortedInPlace(&acc, b, &scratch);
+      EXPECT_EQ(acc, expected) << KernelLevelName(level) << " " << na;
     }
-    for (uint32_t v : RandomSortedUnique32(rng, 150, 1000)) {
-      b.push_back(static_cast<int>(v));
-    }
-    std::vector<int> expected;
-    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                          std::back_inserter(expected));
-    std::vector<int> out;
-    kernels::IntersectSortedInto(std::span<const int>(a),
-                                 std::span<const int>(b), &out);
-    EXPECT_EQ(out, expected) << KernelLevelName(level);
-    std::vector<int> acc = a;
-    std::vector<int> scratch;
-    kernels::IntersectSortedInPlace(&acc, b, &scratch);
-    EXPECT_EQ(acc, expected) << KernelLevelName(level);
   }
 }
 
@@ -382,39 +337,57 @@ TEST(WrapperTest, IntersectShiftedInPlaceMatchesOracle) {
 }
 
 TEST(WrapperTest, BitmapHelpersRoundTrip) {
+  // The bitmap helpers are scalar at every level, so one level covers them.
   std::mt19937_64 rng(17);
-  for (KernelLevel level : SupportedLevels()) {
-    ScopedLevel scoped(level);
-    const size_t kNumRows = 700;  // not a multiple of 64: partial last word
-    std::vector<uint32_t> rows;
-    std::uniform_int_distribution<uint32_t> dist(0, kNumRows - 1);
-    for (int i = 0; i < 300; ++i) rows.push_back(dist(rng));  // dups ok
-    std::vector<uint64_t> bits;
-    kernels::BitmapClear(&bits, kNumRows);
-    kernels::BitmapSetBatch(&bits, rows);
-    for (uint32_t r : rows) EXPECT_TRUE(kernels::BitmapTest(bits, r));
-    // Emit = sorted distinct rows.
-    std::vector<uint32_t> sorted = rows;
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    std::vector<uint32_t> emitted;
-    kernels::BitmapEmitInto(bits, &emitted);
-    EXPECT_EQ(emitted, sorted) << KernelLevelName(level);
-    // BitmapAnd zero-extends a shorter `other`: surviving rows are those
-    // under 128 that the mask also has.
-    std::vector<uint64_t> mask;
-    kernels::BitmapClear(&mask, 128);
-    for (uint32_t r : sorted) {
-      if (r < 128 && r % 2 == 0) kernels::BitmapSet(&mask, r);
+  const size_t kNumRows = 700;  // not a multiple of 64: partial last word
+  std::vector<uint32_t> rows;
+  std::uniform_int_distribution<uint32_t> dist(0, kNumRows - 1);
+  for (int i = 0; i < 300; ++i) rows.push_back(dist(rng));  // dups ok
+  std::vector<uint64_t> bits;
+  kernels::BitmapClear(&bits, kNumRows);
+  kernels::BitmapSetBatch(&bits, rows);
+  for (uint32_t r : rows) EXPECT_TRUE(kernels::BitmapTest(bits, r));
+  // Emit = sorted distinct rows.
+  std::vector<uint32_t> sorted = rows;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  std::vector<uint32_t> emitted;
+  kernels::BitmapEmitInto(bits, &emitted);
+  EXPECT_EQ(emitted, sorted);
+
+  // Emit vs a bit-loop oracle across word counts and densities, including
+  // all-zero and all-ones words and long zero runs; SetBatch of the
+  // emitted rows must rebuild the same words.
+  const size_t kWordCounts[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 40};
+  for (size_t nw : kWordCounts) {
+    for (int density = 0; density < 4; ++density) {
+      std::vector<uint64_t> words(nw);
+      for (size_t i = 0; i < nw; ++i) {
+        switch (density) {
+          case 0: words[i] = 0; break;
+          case 1: words[i] = ~0ull; break;
+          case 2:  // sparse: a few bits, zero runs between
+            words[i] = (i % 3 == 0) ? (1ull << (i % 64)) : 0;
+            break;
+          default: words[i] = rng();
+        }
+      }
+      std::vector<uint32_t> expected;
+      for (size_t i = 0; i < nw; ++i) {
+        for (int b = 0; b < 64; ++b) {
+          if ((words[i] >> b) & 1) {
+            expected.push_back(static_cast<uint32_t>(i * 64 + b));
+          }
+        }
+      }
+      std::vector<uint32_t> got(3, 0xABABABABu);  // stale contents replaced
+      kernels::BitmapEmitInto(words, &got);
+      EXPECT_EQ(got, expected) << "nw=" << nw << " d=" << density;
+      std::vector<uint64_t> rebuilt;
+      kernels::BitmapClear(&rebuilt, nw * 64);
+      kernels::BitmapSetBatch(&rebuilt, got);
+      EXPECT_EQ(rebuilt, words) << "nw=" << nw << " d=" << density;
     }
-    kernels::BitmapAnd(&bits, mask);
-    std::vector<uint32_t> expected_and;
-    for (uint32_t r : sorted) {
-      if (r < 128 && r % 2 == 0) expected_and.push_back(r);
-    }
-    kernels::BitmapEmitInto(bits, &emitted);
-    EXPECT_EQ(emitted, expected_and)
-        << KernelLevelName(level) << " BitmapAnd zero-extension";
   }
 }
 
@@ -425,19 +398,17 @@ TEST(DispatchTest, ParseKernelLevel) {
   KernelLevel level;
   EXPECT_TRUE(ParseKernelLevel("scalar", &level));
   EXPECT_EQ(level, KernelLevel::kScalar);
-  EXPECT_TRUE(ParseKernelLevel("sse", &level));
-  EXPECT_EQ(level, KernelLevel::kSse);
   EXPECT_TRUE(ParseKernelLevel("avx2", &level));
   EXPECT_EQ(level, KernelLevel::kAvx2);
   EXPECT_FALSE(ParseKernelLevel("", &level));
+  EXPECT_FALSE(ParseKernelLevel("sse", &level));  // no SSE level
   EXPECT_FALSE(ParseKernelLevel("avx512", &level));
   EXPECT_FALSE(ParseKernelLevel("SCALAR", &level));  // case-sensitive
   EXPECT_FALSE(ParseKernelLevel("scalar ", &level));
 }
 
 TEST(DispatchTest, LevelNamesRoundTrip) {
-  for (KernelLevel level :
-       {KernelLevel::kScalar, KernelLevel::kSse, KernelLevel::kAvx2}) {
+  for (KernelLevel level : {KernelLevel::kScalar, KernelLevel::kAvx2}) {
     KernelLevel parsed;
     ASSERT_TRUE(ParseKernelLevel(KernelLevelName(level), &parsed));
     EXPECT_EQ(parsed, level);
@@ -452,13 +423,6 @@ TEST(DispatchTest, ScalarAlwaysSupportedAndForceable) {
   EXPECT_EQ(&ActiveKernelOps(), &KernelOpsFor(KernelLevel::kScalar));
   ForceKernelLevel(prev);
   EXPECT_EQ(ActiveKernelLevel(), prev);
-}
-
-TEST(DispatchTest, WiderLevelsImplyNarrower) {
-  // The CPUID lattice: AVX2 machines always have SSE4.2.
-  if (KernelLevelSupported(KernelLevel::kAvx2)) {
-    EXPECT_TRUE(KernelLevelSupported(KernelLevel::kSse));
-  }
 }
 
 // ---------------------------------------------------------------------------

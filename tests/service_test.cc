@@ -21,6 +21,7 @@
 #include "datagen/imdb_like.h"
 #include "datagen/retailer.h"
 #include "exec/executor.h"
+#include "kernels/kernels.h"
 #include "schema/schema_graph.h"
 #include "service/concurrent_eval_cache.h"
 #include "service/serve_args.h"
@@ -151,6 +152,11 @@ TEST(ServiceStressTest, EightThreadsMatchSingleThreadedOnRetailer) {
   std::string dump = service.MetricsDump();
   EXPECT_NE(dump.find("eval_cache_hit_rate"), std::string::npos);
   EXPECT_NE(dump.find("latency_seconds"), std::string::npos);
+  // The kernel_level gauge exports the KernelLevel enum value.
+  const std::string kernel_gauge =
+      "gauge     kernel_level " +
+      std::to_string(static_cast<int>(ActiveKernelLevel())) + "\n";
+  EXPECT_NE(dump.find(kernel_gauge), std::string::npos) << dump;
 }
 
 TEST(ServiceStressTest, EightThreadsMatchSingleThreadedOnImdb) {
