@@ -7,7 +7,8 @@
 //
 // Instances are drawn as 20 seeded scaled-retailer databases × 10 random
 // ETs each = 200 (database, ET) pairs, sharded into gtest params so
-// failures name the offending seed.
+// failures name the offending seed. The golden snapshot also pins FILTER's
+// counts on 12 CUST ETs with 500-2000 candidates each (see HeavyCustEts).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -23,9 +25,11 @@
 #include "core/simple_prune.h"
 #include "core/verify_all.h"
 #include "core/weave.h"
+#include "datagen/cust_like.h"
 #include "datagen/et_gen.h"
 #include "datagen/retailer.h"
 #include "exec/executor.h"
+#include "util/rng.h"
 
 namespace qbe {
 namespace {
@@ -34,9 +38,10 @@ constexpr int kEtsPerSeed = 10;
 
 struct Workbench {
   explicit Workbench(uint64_t seed)
-      : db(MakeScaledRetailerDatabase(30, 30, 12, 12, 120, 120, 50, seed)),
-        graph(db),
-        exec(db, graph) {}
+      : Workbench(
+            MakeScaledRetailerDatabase(30, 30, 12, 12, 120, 120, 50, seed)) {}
+  explicit Workbench(Database database)
+      : db(std::move(database)), graph(db), exec(db, graph) {}
 
   Database db;
   SchemaGraph graph;
@@ -149,6 +154,66 @@ CountMap CollectVerifyCounts() {
   return counts;
 }
 
+// CUST instances. The retailer ETs above yield at most a few dozen
+// candidates; ETs cut from CUST's wide fact-table join graph (EtSource
+// matrix 4 at scale 0.2) yield 500-2000, so FILTER runs on thousands of
+// filters and a dense sub-filter order: the heavy-ET path of the filter
+// universe and the greedy loop. Capping enumeration at kCustMaxCandidates + 1
+// keeps the few much larger ETs of that matrix cheap to skip.
+constexpr double kCustScale = 0.2;
+constexpr int kCustMatrix = 4;
+constexpr int kCustEts = 12;
+constexpr size_t kCustMinCandidates = 500;
+constexpr size_t kCustMaxCandidates = 2000;
+
+struct HeavyCustEt {
+  ExampleTable et;
+  std::vector<CandidateQuery> candidates;
+};
+
+std::vector<HeavyCustEt> HeavyCustEts(const Workbench& wb) {
+  EtSource source(wb.db, wb.graph, wb.exec, /*seed=*/3);
+  Rng rng(7);
+  CandidateGenOptions options;
+  options.max_candidates = kCustMaxCandidates + 1;
+  std::vector<HeavyCustEt> out;
+  for (int draw = 0; draw < 100 && out.size() < kCustEts; ++draw) {
+    std::optional<ExampleTable> et =
+        source.Sample(EtParams{}, kCustMatrix, rng);
+    if (!et) continue;
+    std::vector<CandidateQuery> candidates =
+        GenerateCandidates(wb.db, wb.graph, *et, options);
+    if (candidates.size() <= kCustMinCandidates ||
+        candidates.size() > kCustMaxCandidates) {
+      continue;
+    }
+    out.push_back({std::move(*et), std::move(candidates)});
+  }
+  return out;
+}
+
+void CollectCustVerifyCounts(CountMap* counts) {
+  CustConfig config;
+  config.scale = kCustScale;
+  Workbench wb(MakeCustLikeDatabase(config));
+  std::vector<HeavyCustEt> ets = HeavyCustEts(wb);
+  ASSERT_EQ(ets.size(), static_cast<size_t>(kCustEts));
+  for (size_t e = 0; e < ets.size(); ++e) {
+    FilterVerifier filter_lazy(0.1, true);
+    FilterVerifier filter_exact(0.1, false);
+    std::pair<const char*, CandidateVerifier*> algos[] = {
+        {"filter", &filter_lazy}, {"filterexact", &filter_exact}};
+    for (auto [name, algo] : algos) {
+      auto [valid, verifs] =
+          RunVerifier(wb, ets[e].et, ets[e].candidates, *algo, 1);
+      (void)valid;
+      char key[64];
+      std::snprintf(key, sizeof(key), "cust.e%02zu.%s", e, name);
+      (*counts)[key] = verifs;
+    }
+  }
+}
+
 std::string GoldenPath() {
   return std::string(QBE_GOLDEN_DIR) + "/verify_counts.json";
 }
@@ -187,6 +252,7 @@ bool ReadGolden(CountMap* counts) {
 
 TEST(VerifyCountGoldenTest, CountsMatchGoldenSnapshot) {
   CountMap counts = CollectVerifyCounts();
+  CollectCustVerifyCounts(&counts);
   ASSERT_FALSE(counts.empty());
 
   if (std::getenv("QBE_UPDATE_GOLDEN") != nullptr) {
