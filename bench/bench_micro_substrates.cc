@@ -1,19 +1,23 @@
 // Microbenchmarks (google-benchmark) for the substrates behind the query
 // discovery system: tokenizer, FTS index build/probe, master column index,
 // the semijoin executor, subtree enumeration, candidate generation and
-// filter-universe construction. These quantify the paper's claim that
-// candidate generation is "a negligible fraction of the overall query
-// processing time" relative to verification.
+// filter-universe construction (a light IMDB ET and a heavy CUST one).
+// These quantify the paper's claim that candidate generation is "a
+// negligible fraction of the overall query processing time" relative to
+// verification.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "core/candidate_gen.h"
 #include "core/filter_universe.h"
+#include "datagen/cust_like.h"
+#include "datagen/et_gen.h"
 #include "datagen/imdb_like.h"
 #include "datagen/retailer.h"
 #include "exec/executor.h"
@@ -21,6 +25,7 @@
 #include "kernels/kernels.h"
 #include "schema/subtree_enum.h"
 #include "text/tokenizer.h"
+#include "util/rng.h"
 
 namespace qbe {
 namespace {
@@ -194,18 +199,57 @@ void BM_CandidateGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_CandidateGeneration);
 
-void BM_FilterUniverseBuild(benchmark::State& state) {
-  const Database& db = ImdbDb();
-  const SchemaGraph& graph = ImdbGraph();
-  ExampleTable et = NameTitleEt();
-  std::vector<CandidateQuery> candidates =
-      GenerateCandidates(db, graph, et, {});
+/// Times BuildFilterUniverse and reports the universe's size: `dep_edges`
+/// counts both directions of every sub-filter pair (the qbebench
+/// core.filter_deps figure).
+void RunFilterUniverseBuild(benchmark::State& state, const SchemaGraph& graph,
+                            const ExampleTable& et,
+                            const std::vector<CandidateQuery>& candidates) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(BuildFilterUniverse(graph, et, candidates));
   }
+  const FilterUniverse universe = BuildFilterUniverse(graph, et, candidates);
+  double dep_edges = 0;
+  for (int f = 0; f < universe.num_filters(); ++f) {
+    dep_edges += static_cast<double>(universe.supers_of[f].size() +
+                                     universe.subs_of[f].size());
+  }
   state.counters["candidates"] = static_cast<double>(candidates.size());
+  state.counters["filters"] = universe.num_filters();
+  state.counters["classes"] = universe.num_classes();
+  state.counters["dep_edges"] = dep_edges;
+}
+
+void BM_FilterUniverseBuild(benchmark::State& state) {
+  const SchemaGraph& graph = ImdbGraph();
+  ExampleTable et = NameTitleEt();
+  RunFilterUniverseBuild(state, graph, et,
+                         GenerateCandidates(ImdbDb(), graph, et, {}));
 }
 BENCHMARK(BM_FilterUniverseBuild);
+
+/// A heavy CUST ET (more than 4096 candidates), the kind that dominates the
+/// qbebench cust_fresh tail: the first one drawn from the qbebench matrix
+/// set with the Table 3 defaults.
+void BM_FilterUniverseBuildCust(benchmark::State& state) {
+  static const Database& db = *new Database(MakeCustLikeDatabase());
+  static const SchemaGraph& graph = *new SchemaGraph(db);
+  const Executor exec(db, graph);
+  const EtSource source(db, graph, exec, /*seed=*/20140622);
+  Rng rng(1);
+  for (int draw = 0; draw < 2000; ++draw) {
+    std::optional<ExampleTable> et =
+        source.Sample(EtParams{}, draw % source.num_matrices(), rng);
+    if (!et) continue;
+    std::vector<CandidateQuery> candidates =
+        GenerateCandidates(db, graph, *et, {});
+    if (candidates.size() <= 4096) continue;
+    RunFilterUniverseBuild(state, graph, *et, candidates);
+    return;
+  }
+  state.SkipWithError("no CUST ET with more than 4096 candidates");
+}
+BENCHMARK(BM_FilterUniverseBuildCust)->Unit(benchmark::kMillisecond);
 
 void BM_RetailerDiscoveryEndToEnd(benchmark::State& state) {
   const Database& db = *new Database(MakeRetailerDatabase());

@@ -42,8 +42,10 @@ DiscoveryExplain ExplainDiscovery(const Database& db, const ExampleTable& et,
   if (!candidates.empty()) {
     FilterUniverse universe = BuildFilterUniverse(graph, et, candidates);
     explain.num_filters = universe.filters.size();
-    for (const Filter& f : universe.filters) {
-      if (f.IsTriviallySuccessful()) explain.num_trivial_filters += 1;
+    for (const FilterRecord& f : universe.filters) {
+      if (universe.classes[f.cls].IsTriviallySuccessful()) {
+        explain.num_trivial_filters += 1;
+      }
     }
   }
 

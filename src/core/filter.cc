@@ -8,15 +8,6 @@ int Filter::NumConstrainedCells() const {
   return std::popcount(constrained_mask);
 }
 
-size_t Filter::Hash() const {
-  size_t h = tree.Hash() * 31 + static_cast<size_t>(row);
-  for (const ColumnRef& col : phi) {
-    h = h * 1000003 + static_cast<size_t>(col.rel + 1) * 4096 +
-        static_cast<size_t>(col.col + 1);
-  }
-  return h;
-}
-
 Filter MakeFilter(const CandidateQuery& query, const JoinTree& subtree,
                   const ExampleTable& et, int row) {
   Filter f;

@@ -37,19 +37,6 @@ struct Filter {
   /// nF of §5.3.1: number of constrained cells.
   int NumConstrainedCells() const;
 
-  /// True iff this filter is guaranteed to succeed without evaluation: a
-  /// single-relation filter with at most one constrained cell, none of
-  /// them exact-match. The column constraint established during candidate
-  /// generation (Eq. 2) already proves the cell value is *contained* in
-  /// the mapped column, so the TOP-1 existence query cannot be empty.
-  /// (Exact-match cells are excluded: the column index proves containment
-  /// only.) Algorithm 1 marks such filters known-successful up front
-  /// instead of spending verifications on them.
-  bool IsTriviallySuccessful() const {
-    return tree.NumVertices() == 1 && NumConstrainedCells() <= 1 &&
-           exact_mask == 0;
-  }
-
   /// cost(F): join-tree size (the estimated-cost unit used throughout the
   /// paper's experiments is the sum of join tree sizes).
   int Cost() const { return tree.NumVertices(); }
@@ -57,12 +44,6 @@ struct Filter {
   friend bool operator==(const Filter& a, const Filter& b) {
     return a.row == b.row && a.tree == b.tree && a.phi == b.phi;
   }
-
-  size_t Hash() const;
-};
-
-struct FilterHash {
-  size_t operator()(const Filter& f) const { return f.Hash(); }
 };
 
 /// Builds the filter Q(J', r) of candidate `query` (Definition 5): restricts

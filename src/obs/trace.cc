@@ -57,6 +57,7 @@ const char* SpanKindName(SpanKind kind) {
     case SpanKind::kSimplePrune: return "verify:simpleprune";
     case SpanKind::kFilter: return "verify:filter";
     case SpanKind::kFilterExact: return "verify:filterexact";
+    case SpanKind::kFilterUniverse: return "filter_universe";
     case SpanKind::kWeave: return "verify:weave";
     case SpanKind::kRelaxedVerify: return "verify:relaxed";
     case SpanKind::kRank: return "rank";

@@ -44,6 +44,7 @@ enum class SpanKind : uint8_t {
   kSimplePrune,
   kFilter,
   kFilterExact,
+  kFilterUniverse,   // FILTER's universe build, nested in its verify span
   kWeave,
   kRelaxedVerify,    // min_row_support >= 0 row-counting path
   kRank,             // result ranking + SQL rendering

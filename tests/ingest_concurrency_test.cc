@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -121,6 +122,24 @@ void RunReader(LiveDatabase& live, const ExampleTable& et, int reader,
   }
 }
 
+/// Holds the writer back until `ready()` (or 10 s pass). The writer's
+/// mutations take well under a millisecond, so without this it can publish
+/// every epoch before a reader or the compactor first runs, and the run
+/// observes no concurrency at all.
+template <typename Ready>
+void AwaitBeforeWriting(Ready ready) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!ready() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+bool HasSample(std::mutex& mu, const std::vector<Sample>& samples) {
+  std::lock_guard<std::mutex> lock(mu);
+  return !samples.empty();
+}
+
 /// Post-hoc: every sample must match a cold load of its pinned epoch, and
 /// samples of the same epoch must agree with each other across readers.
 void VerifySamples(const ExampleTable& et, std::vector<Sample>& samples) {
@@ -164,8 +183,10 @@ TEST_F(IngestConcurrencyTest, DiscoveryPinsBitIdenticalEpochsDuringAppends) {
   std::atomic<bool> failed{false};
   std::mutex mu;
   std::vector<Sample> samples;
-  std::thread writer(
-      [&] { RunWriter(live, customer, sales, 45, false, failed); });
+  std::thread writer([&] {
+    AwaitBeforeWriting([&] { return HasSample(mu, samples); });
+    RunWriter(live, customer, sales, 45, false, failed);
+  });
   std::vector<std::thread> readers;
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] { RunReader(live, et, r, 8, mu, samples); });
@@ -190,7 +211,10 @@ TEST_F(IngestConcurrencyTest, CompactionRacesDiscoveryWithoutTearingPins) {
   std::atomic<bool> done{false};
   std::mutex mu;
   std::vector<Sample> samples;
+  std::atomic<int> compactions{0};
   std::thread writer([&] {
+    AwaitBeforeWriting(
+        [&] { return HasSample(mu, samples) && compactions.load() > 0; });
     RunWriter(live, customer, sales, 45, true, failed);
     done.store(true);
   });
@@ -198,7 +222,6 @@ TEST_F(IngestConcurrencyTest, CompactionRacesDiscoveryWithoutTearingPins) {
   // Old pins must stay readable: their shared_ptrs outlive the swap.
   std::thread compactor([&] {
     std::string error;
-    int compactions = 0;
     while (!done.load()) {
       if (!live.Compact("", &error)) {
         ADD_FAILURE() << "compaction: " << error;
@@ -208,7 +231,7 @@ TEST_F(IngestConcurrencyTest, CompactionRacesDiscoveryWithoutTearingPins) {
       ++compactions;
       std::this_thread::yield();
     }
-    EXPECT_GT(compactions, 0);
+    EXPECT_GT(compactions.load(), 0);
   });
   std::vector<std::thread> readers;
   for (int r = 0; r < kReaders; ++r) {

@@ -101,7 +101,7 @@ TEST_P(LemmaTest, FilterDependencyLemmasHoldSemantically) {
     std::vector<CandidateQuery> candidates =
         GenerateCandidates(wb.db, wb.graph, et, {});
     if (candidates.empty()) continue;
-    FilterUniverse u = BuildFilterUniverse(wb.graph, et, candidates);
+    const FilterUniverse u = BuildFilterUniverse(wb.graph, et, candidates);
     // Evaluate a bounded random sample of filters.
     std::vector<int> ids(u.num_filters());
     for (int i = 0; i < u.num_filters(); ++i) ids[i] = i;
@@ -110,10 +110,9 @@ TEST_P(LemmaTest, FilterDependencyLemmasHoldSemantically) {
     std::vector<int> outcome(u.num_filters(), -1);  // -1 unknown
     auto eval = [&](int f) {
       if (outcome[f] < 0) {
-        outcome[f] = wb.exec.Exists(u.filters[f].tree,
-                                    FilterPredicates(u.filters[f], et))
-                         ? 1
-                         : 0;
+        const Filter filter = u.Materialize(f);
+        outcome[f] =
+            wb.exec.Exists(filter.tree, FilterPredicates(filter, et)) ? 1 : 0;
       }
       return outcome[f] == 1;
     };

@@ -331,6 +331,43 @@ TEST(TraceDiscoveryTest, SampledRequestCoversAllPhases) {
   EXPECT_EQ(stitched.dropped_spans, 0);
 }
 
+TEST(TraceDiscoveryTest, FilterUniverseSpanNestsUnderItsVerifySpan) {
+  Database db = MakeRetailerDatabase();
+  ExampleTable et = MakeFigure2ExampleTable();
+  const std::pair<Algorithm, SpanKind> filters[] = {
+      {Algorithm::kFilter, SpanKind::kFilter},
+      {Algorithm::kFilterExact, SpanKind::kFilterExact}};
+  for (auto [algorithm, verify_kind] : filters) {
+    TraceContext trace;
+    DiscoveryOptions options;
+    options.algorithm = algorithm;
+    options.trace = &trace;
+    ASSERT_TRUE(DiscoverQueries(db, et, options).ok());
+    Trace stitched = trace.Stitch();
+    std::string why;
+    EXPECT_TRUE(stitched.WellFormed(&why)) << why;
+    ASSERT_EQ(stitched.PhaseCount(SpanKind::kFilterUniverse), 1u);
+    for (const TraceSpan& span : stitched.spans) {
+      if (span.kind != SpanKind::kFilterUniverse) continue;
+      ASSERT_GE(span.parent, 0);
+      EXPECT_EQ(stitched.spans[span.parent].kind, verify_kind);
+    }
+    // The build precedes every evaluation, so its time is the verify
+    // span's, not an existence query's.
+    EXPECT_LE(stitched.PhaseNs(SpanKind::kFilterUniverse),
+              stitched.PhaseNs(verify_kind));
+    EXPECT_NE(ChromeTraceJson(stitched).find("\"name\":\"filter_universe\""),
+              std::string::npos);
+  }
+  // Other verifiers build no universe.
+  TraceContext trace;
+  DiscoveryOptions options;
+  options.algorithm = Algorithm::kVerifyAll;
+  options.trace = &trace;
+  ASSERT_TRUE(DiscoverQueries(db, et, options).ok());
+  EXPECT_EQ(trace.Stitch().PhaseCount(SpanKind::kFilterUniverse), 0u);
+}
+
 TEST(TraceDiscoveryTest, TracingDoesNotChangeOutcomes) {
   // The deep off/sampled/full differential (1/2/8 threads, cache key sets)
   // lives in trace_overhead_test.cc; this is the fast tier-1 smoke.
@@ -448,11 +485,14 @@ TEST(ServiceTracingTest, SampledRequestsYieldTracesMetricsAndSlowLog) {
   EXPECT_NE(prom.find("qbe_requests_traced 3"), std::string::npos);
   EXPECT_NE(prom.find("qbe_phase_seconds_candidate_gen_count"),
             std::string::npos);
+  EXPECT_NE(prom.find("qbe_phase_seconds_filter_universe_count"),
+            std::string::npos);
   EXPECT_NE(prom.find("qbe_latency_seconds_bucket"), std::string::npos);
 
   std::string chrome = service.ChromeTraces();
   EXPECT_EQ(chrome.find("{\"traceEvents\":["), 0u);
   EXPECT_NE(chrome.find("\"name\":\"candidate_gen\""), std::string::npos);
+  EXPECT_NE(chrome.find("\"name\":\"filter_universe\""), std::string::npos);
 }
 
 TEST(ServiceTracingTest, TraceRingKeepsOnlyTheNewest) {
