@@ -1,6 +1,7 @@
 #include "core/candidate_gen.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "ingest/db_view.h"
 #include "kernels/kernels.h"
@@ -10,53 +11,76 @@
 namespace qbe {
 namespace {
 
-/// Folds the per-row "columns containing this cell" gid lists of ET column
-/// `c` into their intersection — the candidate projection columns of
-/// Eq. 3. The one shared accumulator behind both the plain-Database and
-/// DbView retrieval paths; row lists come from `matches_for_row` (sorted
-/// ascending) and the intersection runs on the dispatched kernel layer
-/// (DESIGN.md §14).
-template <typename MatchesForRow>
-std::vector<int> IntersectColumnsOverRows(const ExampleTable& et, int c,
-                                          MatchesForRow&& matches_for_row) {
-  std::vector<int> gids;
-  std::vector<int> scratch;
-  bool first = true;
-  for (int r = 0; r < et.num_rows() && (first || !gids.empty()); ++r) {
-    if (et.cell(r, c).IsEmpty()) continue;
-    if (first) {
-      gids = matches_for_row(r);
-      first = false;
-    } else {
-      kernels::IntersectSortedInPlace(&gids, matches_for_row(r), &scratch);
-    }
+/// Reusable buffers for CellColumns.
+struct CellScratch {
+  std::vector<uint32_t> ids;
+  std::vector<int> view_matches;
+  std::vector<int> merged;
+  std::vector<int> union_buf;
+};
+
+/// The gids of the text columns containing ET cell (r, c) in any of
+/// `views` (sorted ascending; aliases `s->merged`). Tokens are resolved
+/// against each view's own dictionary: a token absent from a shard matches
+/// nothing there, which is what the global answer needs. With one view
+/// this is that view's lookup.
+const std::vector<int>& CellColumns(std::span<const DbView> views,
+                                    const ExampleTable& et, int r, int c,
+                                    CellScratch* s) {
+  views[0].IdsOfInto(et.CellTokens(r, c), &s->ids);
+  views[0].ColumnsContainingIdsInto(s->ids, &s->merged);
+  for (const DbView& view : views.subspan(1)) {
+    view.IdsOfInto(et.CellTokens(r, c), &s->ids);
+    view.ColumnsContainingIdsInto(s->ids, &s->view_matches);
+    if (s->view_matches.empty()) continue;
+    s->union_buf.clear();
+    std::set_union(s->merged.begin(), s->merged.end(),
+                   s->view_matches.begin(), s->view_matches.end(),
+                   std::back_inserter(s->union_buf));
+    s->merged.swap(s->union_buf);
   }
-  // A well-formed ET has at least one non-empty cell per column, so
-  // `first` is false here (Definition 1 forbids empty columns).
-  QBE_CHECK_MSG(!first, "example table has an empty column");
-  return gids;
+  return s->merged;
 }
 
 }  // namespace
 
 std::vector<std::vector<ColumnRef>> RetrieveCandidateColumns(
-    const Database& db, const ExampleTable& et) {
-  const ColumnIndex& ci = db.column_index();
+    std::span<const DbView> views, const ExampleTable& et) {
+  QBE_CHECK_MSG(!views.empty(), "retrieval needs at least one view");
   std::vector<std::vector<ColumnRef>> result(et.num_columns());
+  CellScratch cell;
+  std::vector<int> scratch;
   for (int c = 0; c < et.num_columns(); ++c) {
-    std::vector<int> gids = IntersectColumnsOverRows(et, c, [&](int r) {
-      return ci.ColumnsContaining(et.CellTokens(r, c));
-    });
-    for (int gid : gids) result[c].push_back(db.TextColumnByGid(gid));
+    // Fold the per-row column lists into their intersection; the
+    // intersection runs on the dispatched kernel layer (DESIGN.md §14).
+    std::vector<int> gids;
+    bool first = true;
+    for (int r = 0; r < et.num_rows() && (first || !gids.empty()); ++r) {
+      if (et.cell(r, c).IsEmpty()) continue;
+      const std::vector<int>& matches = CellColumns(views, et, r, c, &cell);
+      if (first) {
+        gids = matches;
+        first = false;
+      } else {
+        kernels::IntersectSortedInPlace(&gids, matches, &scratch);
+      }
+    }
+    // A well-formed ET has at least one non-empty cell per column
+    // (Definition 1 forbids empty columns).
+    QBE_CHECK_MSG(!first, "example table has an empty column");
+    for (int gid : gids) result[c].push_back(views[0].TextColumnByGid(gid));
   }
   return result;
 }
 
 std::vector<std::vector<ColumnRef>> RetrieveCandidateColumnsRelaxed(
-    const Database& db, const ExampleTable& et, int min_row_support) {
-  const ColumnIndex& ci = db.column_index();
+    std::span<const DbView> views, const ExampleTable& et,
+    int min_row_support) {
+  QBE_CHECK_MSG(!views.empty(), "retrieval needs at least one view");
+  const Database& db = views[0].base();
   int need = std::min(min_row_support, et.num_rows());
   std::vector<std::vector<ColumnRef>> result(et.num_columns());
+  CellScratch cell;
   for (int c = 0; c < et.num_columns(); ++c) {
     // Per-column compatible-row counts; empty cells are compatible with
     // every column and contribute a base count instead.
@@ -67,9 +91,7 @@ std::vector<std::vector<ColumnRef>> RetrieveCandidateColumnsRelaxed(
         ++empty_rows;
         continue;
       }
-      for (int gid : ci.ColumnsContaining(et.CellTokens(r, c))) {
-        counts[gid] += 1;
-      }
+      for (int gid : CellColumns(views, et, r, c, &cell)) counts[gid] += 1;
     }
     for (int gid = 0; gid < db.TotalTextColumns(); ++gid) {
       if (counts[gid] + empty_rows >= need) {
@@ -82,51 +104,13 @@ std::vector<std::vector<ColumnRef>> RetrieveCandidateColumnsRelaxed(
 
 std::vector<std::vector<ColumnRef>> RetrieveCandidateColumns(
     const DbView& view, const ExampleTable& et) {
-  if (view.plain()) return RetrieveCandidateColumns(view.base(), et);
-  std::vector<std::vector<ColumnRef>> result(et.num_columns());
-  std::vector<uint32_t> ids;
-  std::vector<int> matches;
-  for (int c = 0; c < et.num_columns(); ++c) {
-    std::vector<int> gids =
-        IntersectColumnsOverRows(et, c, [&](int r) -> const std::vector<int>& {
-          view.IdsOfInto(et.CellTokens(r, c), &ids);
-          view.ColumnsContainingIdsInto(ids, &matches);
-          return matches;
-        });
-    for (int gid : gids) result[c].push_back(view.TextColumnByGid(gid));
-  }
-  return result;
+  return RetrieveCandidateColumns(std::span<const DbView>(&view, 1), et);
 }
 
 std::vector<std::vector<ColumnRef>> RetrieveCandidateColumnsRelaxed(
     const DbView& view, const ExampleTable& et, int min_row_support) {
-  if (view.plain()) {
-    return RetrieveCandidateColumnsRelaxed(view.base(), et, min_row_support);
-  }
-  const Database& db = view.base();
-  int need = std::min(min_row_support, et.num_rows());
-  std::vector<std::vector<ColumnRef>> result(et.num_columns());
-  std::vector<uint32_t> ids;
-  std::vector<int> matches;
-  for (int c = 0; c < et.num_columns(); ++c) {
-    std::vector<int> counts(db.TotalTextColumns(), 0);
-    int empty_rows = 0;
-    for (int r = 0; r < et.num_rows(); ++r) {
-      if (et.cell(r, c).IsEmpty()) {
-        ++empty_rows;
-        continue;
-      }
-      view.IdsOfInto(et.CellTokens(r, c), &ids);
-      view.ColumnsContainingIdsInto(ids, &matches);
-      for (int gid : matches) counts[gid] += 1;
-    }
-    for (int gid = 0; gid < db.TotalTextColumns(); ++gid) {
-      if (counts[gid] + empty_rows >= need) {
-        result[c].push_back(db.TextColumnByGid(gid));
-      }
-    }
-  }
-  return result;
+  return RetrieveCandidateColumnsRelaxed(std::span<const DbView>(&view, 1), et,
+                                         min_row_support);
 }
 
 namespace {
@@ -205,7 +189,8 @@ std::vector<CandidateQuery> GenerateCandidates(
     const Database& db, const SchemaGraph& graph, const ExampleTable& et,
     const CandidateGenOptions& options) {
   return EnumerateCandidateQueries(db, graph, et,
-                                   RetrieveCandidateColumns(db, et), options);
+                                   RetrieveCandidateColumns(DbView(db), et),
+                                   options);
 }
 
 }  // namespace qbe

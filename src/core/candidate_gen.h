@@ -2,6 +2,7 @@
 #define QBE_CORE_CANDIDATE_GEN_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/candidate_query.h"
@@ -26,8 +27,20 @@ struct CandidateGenOptions {
 /// Candidate projection-column retrieval (§3.2 step 1, Eq. 3): for each ET
 /// column j, the base-table text columns containing *every* non-empty cell
 /// value of column j, computed by intersecting master-column-index lookups.
+///
+/// `views` are one database (a single view, possibly with a delta overlay)
+/// or the shards of an FK-co-located partition of one (DESIGN.md §15). The
+/// per-cell "columns containing this value" sets are unioned across views
+/// *before* the over-rows intersection: a column can contain every cell
+/// globally while no single shard contains them all. The union is exact
+/// because containment is a per-row property and rows partition across
+/// shards. With a delta overlay, phrases and columns only present in
+/// appended rows participate; the result may then be a superset of a cold
+/// load's (a column whose only containing rows are tombstoned can survive
+/// retrieval) — verification is exact and eliminates such candidates;
+/// retrieval must never underreport.
 std::vector<std::vector<ColumnRef>> RetrieveCandidateColumns(
-    const Database& db, const ExampleTable& et);
+    std::span<const DbView> views, const ExampleTable& et);
 
 /// Relaxed column constraint for the min-row-support extension (paper §8
 /// future work): a base column qualifies for ET column j if at least
@@ -35,17 +48,12 @@ std::vector<std::vector<ColumnRef>> RetrieveCandidateColumns(
 /// its cell is empty or contained in the column). With
 /// `min_row_support == et.num_rows()` this reduces to Eq. 3.
 std::vector<std::vector<ColumnRef>> RetrieveCandidateColumnsRelaxed(
-    const Database& db, const ExampleTable& et, int min_row_support);
+    std::span<const DbView> views, const ExampleTable& et,
+    int min_row_support);
 
-/// Version-aware retrieval over a pinned live-database epoch: identical to
-/// the Database overloads on a plain view; with a delta overlay, phrases
-/// and columns only present in appended rows participate. The result may be
-/// a superset of a cold load's (a column whose only containing rows are
-/// tombstoned can survive retrieval) — verification is exact and eliminates
-/// such candidates; retrieval must never underreport.
+/// Single-view forwards of the two retrievals above.
 std::vector<std::vector<ColumnRef>> RetrieveCandidateColumns(
     const DbView& view, const ExampleTable& et);
-
 std::vector<std::vector<ColumnRef>> RetrieveCandidateColumnsRelaxed(
     const DbView& view, const ExampleTable& et, int min_row_support);
 

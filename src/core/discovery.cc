@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "core/filter_verifier.h"
 #include "core/simple_prune.h"
@@ -11,6 +12,8 @@
 #include "exec/sql_render.h"
 #include "obs/trace.h"
 #include "schema/schema_graph.h"
+#include "shard/shard_exec.h"
+#include "util/check.h"
 #include "util/stopwatch.h"
 
 namespace qbe {
@@ -51,16 +54,24 @@ std::unique_ptr<CandidateVerifier> MakeVerifier(
 /// Ranking score (§8 future work): prefer fewer joins (simpler
 /// explanations) and more selective projection columns (mappings where the
 /// ET values pin down few base rows are likelier to reflect user intent).
-double RankScore(const DbView& view, const ExampleTable& et,
-                 const EtTokenIds& et_ids, const CandidateQuery& query) {
+/// Match and live-row counts are integers summed over the views first
+/// (exact — rows partition across shards), so a sharded score is
+/// bit-identical to the unsharded one.
+double RankScore(std::span<const DbView> views,
+                 std::span<const EtTokenIds> et_ids, const ExampleTable& et,
+                 const CandidateQuery& query) {
   double selectivity_sum = 0.0;
   int cells = 0;
   for (int c = 0; c < et.num_columns(); ++c) {
     const ColumnRef& col = query.projection[c];
-    const uint32_t live_rows = view.LiveRows(col.rel);
+    uint64_t live_rows = 0;
+    for (const DbView& view : views) live_rows += view.LiveRows(col.rel);
     for (int r = 0; r < et.num_rows(); ++r) {
       if (et.cell(r, c).IsEmpty()) continue;
-      size_t matches = view.MatchCount(col, et_ids.CellIds(r, c));
+      size_t matches = 0;
+      for (size_t v = 0; v < views.size(); ++v) {
+        matches += views[v].MatchCount(col, et_ids[v].CellIds(r, c));
+      }
       selectivity_sum += live_rows == 0
                              ? 0.0
                              : static_cast<double>(matches) /
@@ -71,10 +82,6 @@ double RankScore(const DbView& view, const ExampleTable& et,
   double avg_selectivity = cells == 0 ? 0.0 : selectivity_sum / cells;
   return 1.0 / query.tree.NumVertices() + 0.5 * (1.0 - avg_selectivity);
 }
-
-}  // namespace
-
-namespace {
 
 bool DeadlineExpired(const DiscoveryOptions& options) {
   return options.deadline != nullptr && options.deadline->Expired();
@@ -97,27 +104,48 @@ DiscoveryResult DiscoverQueries(const Database& db, const ExampleTable& et,
 DiscoveryResult DiscoverQueries(const DbView& view, const ExampleTable& et,
                                 const DiscoveryOptions& options,
                                 uint64_t data_epoch) {
-  const Database& db = view.base();
+  return DiscoverQueries(std::span<const DbView>(&view, 1), et, options,
+                         data_epoch);
+}
+
+DiscoveryResult DiscoverQueries(std::span<const DbView> views,
+                                const ExampleTable& et,
+                                const DiscoveryOptions& options,
+                                uint64_t data_epoch, ShardStats* stats) {
+  QBE_CHECK_MSG(!views.empty(), "discovery needs at least one view");
+  const bool sharded = views.size() > 1;
+  const Database& db = views[0].base();
   DiscoveryResult result;
   if (!et.IsWellFormed()) {
     result.error =
         "example table must be non-empty with no fully-empty row or column";
     return result;
   }
+  if (sharded && options.algorithm == Algorithm::kWeave &&
+      options.min_row_support < 0) {
+    result.error =
+        "WEAVE has no sharded form: it materializes tuple trees directly "
+        "instead of asking existence queries";
+    return result;
+  }
   if (DeadlineExpired(options)) return MarkTimedOut(result);
 
-  // The schema (relations, FK edges) is immutable across epochs, so the
-  // graph and join-tree enumeration are overlay-independent; only row-level
-  // reads go through the view.
+  // The schema (relations, FK edges) is immutable across epochs and
+  // identical across shards (SplitDatabase copies the catalog verbatim), so
+  // the graph, join-tree enumeration and text-column gids are built once
+  // from view 0; only row-level reads go through the views.
   SchemaGraph graph(db);
-  Executor exec(view, graph);
+  Executor exec(views[0], graph);
 
   TraceContext* trace = options.trace;
-  if (trace != nullptr && view.delta() != nullptr) {
-    trace->Count(TraceCounter::kDeltaRows,
-                 static_cast<int64_t>(view.delta()->appended_total));
-    trace->Count(TraceCounter::kDeltaTombstones,
-                 static_cast<int64_t>(view.delta()->tombstones_total));
+  if (trace != nullptr) {
+    for (const DbView& view : views) {
+      if (view.delta() == nullptr) continue;
+      trace->Count(TraceCounter::kDeltaRows,
+                   static_cast<int64_t>(view.delta()->appended_total));
+      trace->Count(TraceCounter::kDeltaTombstones,
+                   static_cast<int64_t>(view.delta()->tombstones_total));
+    }
   }
 
   Stopwatch gen_timer;
@@ -128,8 +156,8 @@ DiscoveryResult DiscoverQueries(const DbView& view, const ExampleTable& et,
   gen_options.max_candidates = options.max_candidates;
   std::vector<std::vector<ColumnRef>> candidate_columns =
       options.min_row_support >= 0
-          ? RetrieveCandidateColumnsRelaxed(view, et, options.min_row_support)
-          : RetrieveCandidateColumns(view, et);
+          ? RetrieveCandidateColumnsRelaxed(views, et, options.min_row_support)
+          : RetrieveCandidateColumns(views, et);
   for (const auto& cols : candidate_columns) {
     result.candidate_columns_per_et_column.push_back(cols.size());
   }
@@ -146,22 +174,36 @@ DiscoveryResult DiscoverQueries(const DbView& view, const ExampleTable& et,
 
   if (DeadlineExpired(options)) return MarkTimedOut(result);
 
-  // Resolve the ET's tokens against the version's dictionary once (base
-  // dictionary plus overlay tokens); every predicate this request builds
-  // carries id vectors from here on.
+  // Resolve the ET's tokens against each view's dictionary once (base
+  // dictionary plus overlay tokens). One view: every predicate this request
+  // builds carries id vectors from here on. Several views: no global id
+  // space exists, so predicates stay token-level and each shard's executor
+  // resolves them on entry; the per-shard ids feed ranking.
   SpanRef resolve_span =
       trace == nullptr ? kNullSpan
                        : trace->OpenSpan(SpanKind::kEtTokenResolve);
-  EtTokenIds et_ids(et, view);
+  std::vector<EtTokenIds> et_ids;
+  et_ids.reserve(views.size());
+  for (const DbView& view : views) et_ids.emplace_back(et, view);
   if (trace != nullptr) trace->CloseSpan(resolve_span);
   MatchCache match_cache;
   VerifyContext ctx{db,           graph,         exec,
                     et,           candidates,    options.seed,
                     options.cache, options.deadline,
-                    options.verify, &et_ids,
-                    options.use_match_cache ? &match_cache : nullptr,
-                    data_epoch,   view.delta(),
+                    options.verify, sharded ? nullptr : &et_ids[0],
+                    options.use_match_cache && !sharded ? &match_cache
+                                                        : nullptr,
+                    data_epoch,   sharded ? nullptr : views[0].delta(),
                     trace};
+  // Shard-local executors with per-shard memo and match caches; every
+  // evaluation routes through ctx.shards instead of `exec`.
+  std::optional<ShardExecSet> shard_set;
+  if (sharded) {
+    shard_set.emplace(views, graph,
+                      ShardExecSet::Options{options.verify.subtree_memo,
+                                            options.use_match_cache});
+    ctx.shards = &*shard_set;
+  }
 
   // Per-algorithm verification span; every evaluation runs on this thread
   // and nests under it.
@@ -201,10 +243,24 @@ DiscoveryResult DiscoverQueries(const DbView& view, const ExampleTable& et,
       matched[q] = valid[q] ? et.num_rows() : 0;
     }
   }
-  result.counters.match_cache_hits +=
-      static_cast<int64_t>(match_cache.hits());
-  result.counters.match_cache_lookups +=
-      static_cast<int64_t>(match_cache.lookups());
+  if (sharded) {
+    // Cache traffic lives per shard; fold it into the request counters
+    // (diagnostics — hit counts legitimately differ from a one-view run,
+    // unlike the verification counters).
+    ShardStats shard_stats = shard_set->Stats();
+    for (const ShardStats::PerShard& sc : shard_stats.per_shard) {
+      result.counters.subtree_memo_hits += sc.subtree_memo_hits;
+      result.counters.subtree_memo_lookups += sc.subtree_memo_lookups;
+      result.counters.match_cache_hits += sc.match_cache_hits;
+      result.counters.match_cache_lookups += sc.match_cache_lookups;
+    }
+    if (stats != nullptr) *stats = std::move(shard_stats);
+  } else {
+    result.counters.match_cache_hits +=
+        static_cast<int64_t>(match_cache.hits());
+    result.counters.match_cache_lookups +=
+        static_cast<int64_t>(match_cache.lookups());
+  }
   if (trace != nullptr) {
     trace->CloseSpan(verify_span);
     trace->Count(TraceCounter::kQueriesVerified,
@@ -234,8 +290,9 @@ DiscoveryResult DiscoverQueries(const DbView& view, const ExampleTable& et,
     out.sql = RenderProjectJoinSql(db, graph, candidates[q].tree,
                                    candidates[q].projection, labels);
     out.matched_rows = matched[q];
-    out.score =
-        options.rank_results ? RankScore(view, et, et_ids, candidates[q]) : 0.0;
+    out.score = options.rank_results
+                    ? RankScore(views, et_ids, et, candidates[q])
+                    : 0.0;
     result.queries.push_back(std::move(out));
   }
   if (options.rank_results) {

@@ -1,6 +1,8 @@
 #ifndef QBE_CORE_DISCOVERY_H_
 #define QBE_CORE_DISCOVERY_H_
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -12,7 +14,9 @@
 
 namespace qbe {
 
+class DbView;
 class TraceContext;
+struct ShardStats;
 
 /// Which candidate-verification algorithm drives discovery. All produce
 /// identical valid sets; they differ in cost (§2.3).
@@ -107,19 +111,37 @@ struct DiscoveryResult {
 };
 
 /// End-to-end query discovery (the system task of §2.2): candidate
-/// generation (§3.2) followed by candidate verification with the selected
-/// algorithm. The database must have its indexes built.
-DiscoveryResult DiscoverQueries(const Database& db, const ExampleTable& et,
-                                const DiscoveryOptions& options = {});
+/// generation (§3.2), candidate verification with the selected algorithm,
+/// then rendering and ranking.
+///
+/// `views` is either one pinned view (base + optional delta overlay;
+/// DESIGN.md §12) or the shard-local views of an FK-co-located partition
+/// of one logical database sharing its catalog (SplitDatabase guarantees
+/// both; DESIGN.md §15). The executor backend is chosen here, once, from
+/// views.size(): one view runs a plain Executor on ids resolved once per
+/// request; several views route every existence query through a
+/// canonical-order ShardExecSet probe and sum ranking counts over the
+/// shards, with outputs bit-identical to discovery over the unpartitioned
+/// data. kWeave is rejected over several views: it materializes tuple trees
+/// directly instead of asking existence queries, so it has no sound
+/// scatter-gather form. `data_epoch` namespaces shared eval-cache outcomes
+/// per data version. `stats`, when non-null, receives the per-shard probe
+/// accounting of a multi-view run (untouched for one view).
+DiscoveryResult DiscoverQueries(std::span<const DbView> views,
+                                const ExampleTable& et,
+                                const DiscoveryOptions& options,
+                                uint64_t data_epoch,
+                                ShardStats* stats = nullptr);
 
-/// Version-aware discovery over a pinned live-database epoch (base +
-/// delta overlay; DESIGN.md §12). With a plain view and data_epoch 0 this
-/// is exactly the Database overload (which forwards here). `data_epoch`
-/// namespaces shared eval-cache outcomes per data version — pass the
-/// pinned DbVersion's epoch when serving over a LiveDatabase.
+/// One view (forwards to the span entry).
 DiscoveryResult DiscoverQueries(const DbView& view, const ExampleTable& et,
                                 const DiscoveryOptions& options,
                                 uint64_t data_epoch);
+
+/// The plain immutable database at epoch 0. The database must have its
+/// indexes built.
+DiscoveryResult DiscoverQueries(const Database& db, const ExampleTable& et,
+                                const DiscoveryOptions& options = {});
 
 }  // namespace qbe
 

@@ -2,6 +2,7 @@
 
 #include "core/candidate_gen.h"
 #include "core/filter_universe.h"
+#include "ingest/db_view.h"
 #include "schema/schema_graph.h"
 
 namespace qbe {
@@ -13,8 +14,9 @@ DiscoveryExplain ExplainDiscovery(const Database& db, const ExampleTable& et,
   // Stage 1: candidate projection columns.
   std::vector<std::vector<ColumnRef>> candidate_columns =
       options.min_row_support >= 0
-          ? RetrieveCandidateColumnsRelaxed(db, et, options.min_row_support)
-          : RetrieveCandidateColumns(db, et);
+          ? RetrieveCandidateColumnsRelaxed(DbView(db), et,
+                                            options.min_row_support)
+          : RetrieveCandidateColumns(DbView(db), et);
   for (int c = 0; c < et.num_columns(); ++c) {
     DiscoveryExplain::EtColumnInfo info;
     info.name = et.column_name(c).empty()

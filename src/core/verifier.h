@@ -195,7 +195,8 @@ struct VerifyContext {
   /// and execution spans into it. Observation-only — never changes
   /// outcomes or counters. Not owned.
   TraceContext* trace = nullptr;
-  /// Non-null in sharded mode (src/shard/, DESIGN.md §15): EvalEngine
+  /// Set by DiscoverQueries when it runs over several shard views
+  /// (src/shard/, DESIGN.md §15): EvalEngine
   /// routes each logical existence query through the shard set's
   /// canonical-order scatter-gather probe instead of `exec`, charging the
   /// counters once per logical query — outcomes and verification counts

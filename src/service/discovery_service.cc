@@ -6,8 +6,8 @@
 #include "kernels/kernels.h"
 #include "obs/prom.h"
 #include "obs/slow_log.h"
-#include "shard/coordinator.h"
 #include "shard/partition.h"
+#include "shard/shard_exec.h"
 #include "util/deadline.h"
 #include "util/hash64.h"
 #include "util/stopwatch.h"
@@ -233,16 +233,12 @@ void DiscoveryService::Run(const std::shared_ptr<Request>& request) {
   versions.reserve(lives_.size());
   for (const auto& live : lives_) versions.push_back(live->Pin());
 
-  DiscoveryResult result;
-  ShardStats shard_stats;
-  if (num_shards() == 1) {
-    result = DiscoverQueries(versions[0].view(), request->et, options,
-                             versions[0].epoch);
-  } else {
-    // Combined cache epoch: a deterministic digest of the per-shard
-    // epochs — 0 (the "pristine" namespace) iff every shard is pristine,
-    // else forced nonzero so mutated and pristine states never share
-    // cache entries.
+  // One shard keeps its raw epoch. Several combine theirs into a
+  // deterministic digest — 0 (the "pristine" namespace) iff every shard is
+  // pristine, else forced nonzero so mutated and pristine states never
+  // share cache entries.
+  uint64_t epoch = versions[0].epoch;
+  if (versions.size() > 1) {
     std::vector<uint64_t> epochs;
     epochs.reserve(versions.size());
     bool any_nonzero = false;
@@ -250,17 +246,18 @@ void DiscoveryService::Run(const std::shared_ptr<Request>& request) {
       epochs.push_back(version.epoch);
       any_nonzero = any_nonzero || version.epoch != 0;
     }
-    uint64_t epoch = 0;
+    epoch = 0;
     if (any_nonzero) {
       epoch = Hash64(epochs.data(), epochs.size() * sizeof(uint64_t));
       if (epoch == 0) epoch = 1;
     }
-    std::vector<DbView> views;
-    views.reserve(versions.size());
-    for (const DbVersion& version : versions) views.push_back(version.view());
-    result = DiscoverQueriesSharded(views, request->et, options, epoch,
-                                    &shard_stats);
   }
+  std::vector<DbView> views;
+  views.reserve(versions.size());
+  for (const DbVersion& version : versions) views.push_back(version.view());
+  ShardStats shard_stats;
+  DiscoveryResult result =
+      DiscoverQueries(views, request->et, options, epoch, &shard_stats);
   if (trace != nullptr) trace->CloseSpan(request_span);
 
   ServiceResponse response;

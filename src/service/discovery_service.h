@@ -146,8 +146,8 @@ class DiscoveryService {
 
   /// Sharded mode (DESIGN.md §15): one LiveDatabase per FK-co-located
   /// shard (from SplitDatabase or a shardset manifest; all sharing one
-  /// catalog). Requests pin every shard's epoch and run the deterministic
-  /// scatter-gather engine (DiscoverQueriesSharded) — results are
+  /// catalog). Requests pin every shard's epoch and run DiscoverQueries
+  /// over all the shard views (scatter-gather verification) — results are
   /// bit-identical to serving the unpartitioned data. Appends route
   /// through RouteAppend so co-location survives ingestion. A one-element
   /// vector behaves exactly like the unsharded constructor.

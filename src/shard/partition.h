@@ -100,6 +100,14 @@ bool WriteShardSet(const std::string& path, const ShardSet& set,
 std::optional<ShardSet> ReadShardSet(const std::string& path,
                                      std::string* error);
 
+/// Opens every snapshot the manifest names, in manifest order (the
+/// canonical shard order). Fails with `*error` naming the offending path
+/// when a snapshot cannot be opened or its catalog (relations, columns,
+/// FK edges) differs from shard 0's — shards of one logical database share
+/// its catalog, and discovery builds the schema graph from shard 0 alone.
+std::optional<std::vector<Database>> OpenShardSet(const ShardSet& set,
+                                                  std::string* error);
+
 }  // namespace qbe
 
 #endif  // QBE_SHARD_PARTITION_H_

@@ -1,12 +1,13 @@
 #include "shard/shard_exec.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "util/check.h"
 
 namespace qbe {
 
-ShardExecSet::ShardExecSet(const std::vector<DbView>& views,
+ShardExecSet::ShardExecSet(std::span<const DbView> views,
                            const SchemaGraph& graph, const Options& options) {
   QBE_CHECK_MSG(!views.empty(), "ShardExecSet needs at least one shard");
   shards_.reserve(views.size());
@@ -58,11 +59,14 @@ uint64_t ShardExecSet::TotalLiveRows(int rel) const {
   return total;
 }
 
-std::vector<ShardExecSet::ShardCounters> ShardExecSet::Counters() const {
-  std::vector<ShardCounters> out;
-  out.reserve(shards_.size());
+ShardStats ShardExecSet::Stats() const {
+  ShardStats stats;
+  stats.per_shard.reserve(shards_.size());
+  double max_busy = 0.0;
+  double sum_busy = 0.0;
+  int active = 0;
   for (const auto& shard : shards_) {
-    ShardCounters c;
+    ShardStats::PerShard c;
     c.probes = shard->probes.load(std::memory_order_relaxed);
     c.hits = shard->hits.load(std::memory_order_relaxed);
     c.skipped_empty = shard->skipped_empty.load(std::memory_order_relaxed);
@@ -78,9 +82,16 @@ std::vector<ShardExecSet::ShardCounters> ShardExecSet::Counters() const {
       c.match_cache_lookups =
           static_cast<int64_t>(shard->match_cache->lookups());
     }
-    out.push_back(c);
+    if (c.probes > 0) {
+      max_busy = std::max(max_busy, c.busy_seconds);
+      sum_busy += c.busy_seconds;
+      ++active;
+    }
+    stats.per_shard.push_back(c);
   }
-  return out;
+  const double mean_busy = active == 0 ? 0.0 : sum_busy / active;
+  stats.straggler_ratio = mean_busy > 0.0 ? max_busy / mean_busy : 1.0;
+  return stats;
 }
 
 }  // namespace qbe

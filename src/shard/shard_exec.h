@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "exec/executor.h"
@@ -13,6 +14,26 @@
 #include "schema/schema_graph.h"
 
 namespace qbe {
+
+/// Per-request sharded execution diagnostics (metrics/straggler gauges;
+/// never feeds back into outcomes).
+struct ShardStats {
+  struct PerShard {
+    int64_t probes = 0;         // existence queries actually run here
+    int64_t hits = 0;           // probes that found a witness here
+    int64_t skipped_empty = 0;  // probes skipped: some tree vertex empty
+    double busy_seconds = 0.0;  // wall time spent executing probes
+    int64_t subtree_memo_hits = 0;
+    int64_t subtree_memo_lookups = 0;
+    int64_t match_cache_hits = 0;
+    int64_t match_cache_lookups = 0;
+  };
+  std::vector<PerShard> per_shard;
+  /// max / mean busy_seconds over shards that executed at least one probe;
+  /// 1.0 when perfectly balanced (or nothing ran). The service exports it
+  /// as the straggler gauge.
+  double straggler_ratio = 1.0;
+};
 
 /// Shard-local execution state for one sharded discovery request: one
 /// Executor per shard plus the per-shard caches whose values are functions
@@ -38,23 +59,10 @@ class ShardExecSet {
     bool use_match_cache = true;
   };
 
-  /// Snapshot of one shard's probe accounting (diagnostics only; never
-  /// feeds back into outcomes).
-  struct ShardCounters {
-    int64_t probes = 0;         // existence queries actually run here
-    int64_t hits = 0;           // probes that found a witness here
-    int64_t skipped_empty = 0;  // probes skipped: some tree vertex empty
-    double busy_seconds = 0.0;  // wall time spent executing probes
-    int64_t subtree_memo_hits = 0;
-    int64_t subtree_memo_lookups = 0;
-    int64_t match_cache_hits = 0;
-    int64_t match_cache_lookups = 0;
-  };
-
   /// `views` must outlive this set (Executor copies the view, but probes
   /// read through it). The graph is schema-level and shared by all shards
   /// (identical catalogs by construction of SplitDatabase).
-  ShardExecSet(const std::vector<DbView>& views, const SchemaGraph& graph,
+  ShardExecSet(std::span<const DbView> views, const SchemaGraph& graph,
                const Options& options);
 
   /// The scatter-gather probe: true iff some shard has a witness for the
@@ -73,7 +81,9 @@ class ShardExecSet {
   /// check must see global emptiness, not shard 0's.
   uint64_t TotalLiveRows(int rel) const;
 
-  std::vector<ShardCounters> Counters() const;
+  /// Snapshot of every shard's probe and cache accounting, plus the
+  /// straggler ratio over them.
+  ShardStats Stats() const;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const DbView& view(int s) const { return shards_[s]->exec_view; }

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "datagen/retailer.h"
+#include "ingest/db_view.h"
 #include "test_util.h"
 
 namespace qbe {
@@ -22,7 +23,7 @@ TEST_F(CandidateGenTest, Figure2CandidateColumns) {
   // §3.2's worked example: A -> {Customer.CustName, Employee.EmpName},
   // B -> {Device.DevName}, C -> {App.AppName, ESR.Desc}.
   ExampleTable et = MakeFigure2ExampleTable();
-  auto cols = RetrieveCandidateColumns(db_, et);
+  auto cols = RetrieveCandidateColumns(DbView(db_), et);
   ASSERT_EQ(cols.size(), 3u);
   EXPECT_EQ(cols[0], (std::vector<ColumnRef>{
                          test::Col(db_, "Customer.CustName"),
@@ -39,7 +40,7 @@ TEST_F(CandidateGenTest, ColumnConstraintIntersectsOverRows) {
   ExampleTable et({"A"});
   et.AddRow({"Evernote"});
   et.AddRow({"crash"});
-  auto cols = RetrieveCandidateColumns(db_, et);
+  auto cols = RetrieveCandidateColumns(DbView(db_), et);
   EXPECT_TRUE(cols[0].empty());
   // And candidate generation yields nothing.
   EXPECT_TRUE(GenerateCandidates(db_, graph_, et, {}).empty());
@@ -143,7 +144,7 @@ TEST_F(CandidateGenTest, CandidatesAreSupersetOfValidQueries) {
   // Figure2CandidatesAtDefaultJoinLength); here we confirm every candidate
   // satisfies the per-column constraint (Eq. 2's necessary condition).
   ExampleTable et = MakeFigure2ExampleTable();
-  auto cols = RetrieveCandidateColumns(db_, et);
+  auto cols = RetrieveCandidateColumns(DbView(db_), et);
   for (const CandidateQuery& q : GenerateCandidates(db_, graph_, et, {})) {
     for (int c = 0; c < et.num_columns(); ++c) {
       bool in_candidate_cols = false;

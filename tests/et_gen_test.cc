@@ -5,6 +5,7 @@
 #include "core/candidate_gen.h"
 #include "datagen/imdb_like.h"
 #include "datagen/retailer.h"
+#include "ingest/db_view.h"
 
 namespace qbe {
 namespace {
@@ -112,7 +113,7 @@ TEST_F(EtGenTest, GeneratedEtsYieldValidQueries) {
   params.s = 0.0;
   std::vector<ExampleTable> ets = source_.SampleMany(params, 5, 19);
   for (const ExampleTable& et : ets) {
-    auto cols = RetrieveCandidateColumns(db_, et);
+    auto cols = RetrieveCandidateColumns(DbView(db_), et);
     for (const auto& options : cols) {
       EXPECT_FALSE(options.empty());
     }

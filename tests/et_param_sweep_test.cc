@@ -13,6 +13,7 @@
 #include "datagen/et_gen.h"
 #include "datagen/imdb_like.h"
 #include "exec/executor.h"
+#include "ingest/db_view.h"
 #include "schema/schema_graph.h"
 
 namespace qbe {
@@ -81,7 +82,7 @@ TEST_P(EtSweepTest, SampledTablesHonourParameters) {
     }
     EXPECT_EQ(blanks, static_cast<int>(m * n * s));
     // The pipeline front-end must accept the table.
-    auto cols = RetrieveCandidateColumns(*fx.db, *et);
+    auto cols = RetrieveCandidateColumns(DbView(*fx.db), *et);
     EXPECT_EQ(cols.size(), static_cast<size_t>(n));
   }
   EXPECT_GT(produced, 0) << "no matrix supported m=" << m << " n=" << n;

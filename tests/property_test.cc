@@ -21,6 +21,7 @@
 #include "datagen/et_gen.h"
 #include "datagen/retailer.h"
 #include "exec/executor.h"
+#include "ingest/db_view.h"
 #include "text/tokenizer.h"
 #include "util/rng.h"
 
@@ -158,7 +159,7 @@ TEST_P(Corollary1Test, ValidQueriesSatisfyColumnConstraints) {
     VerifyAll verify_all;
     VerificationCounters counters;
     std::vector<bool> valid = verify_all.Verify(ctx, &counters);
-    auto candidate_cols = RetrieveCandidateColumns(wb.db, et);
+    auto candidate_cols = RetrieveCandidateColumns(DbView(wb.db), et);
     for (size_t q = 0; q < candidates.size(); ++q) {
       if (!valid[q]) continue;
       // A valid query's projection columns must be candidate projection

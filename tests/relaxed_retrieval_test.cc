@@ -2,6 +2,7 @@
 
 #include "core/candidate_gen.h"
 #include "datagen/retailer.h"
+#include "ingest/db_view.h"
 #include "test_util.h"
 
 namespace qbe {
@@ -15,8 +16,8 @@ class RelaxedRetrievalTest : public ::testing::Test {
 
 TEST_F(RelaxedRetrievalTest, FullSupportEqualsStrictRetrieval) {
   ExampleTable et = MakeFigure2ExampleTable();
-  EXPECT_EQ(RetrieveCandidateColumnsRelaxed(db_, et, et.num_rows()),
-            RetrieveCandidateColumns(db_, et));
+  EXPECT_EQ(RetrieveCandidateColumnsRelaxed(DbView(db_), et, et.num_rows()),
+            RetrieveCandidateColumns(DbView(db_), et));
 }
 
 TEST_F(RelaxedRetrievalTest, OneBadRowRecoveredAtLowerSupport) {
@@ -25,9 +26,9 @@ TEST_F(RelaxedRetrievalTest, OneBadRowRecoveredAtLowerSupport) {
   et.AddRow({"Mary"});
   et.AddRow({"Zelda"});  // matches nothing
   // Strict: no column contains all three values.
-  EXPECT_TRUE(RetrieveCandidateColumns(db_, et)[0].empty());
+  EXPECT_TRUE(RetrieveCandidateColumns(DbView(db_), et)[0].empty());
   // Support 2: CustName and EmpName both contain Mike and Mary.
-  auto relaxed = RetrieveCandidateColumnsRelaxed(db_, et, 2);
+  auto relaxed = RetrieveCandidateColumnsRelaxed(DbView(db_), et, 2);
   EXPECT_EQ(relaxed[0],
             (std::vector<ColumnRef>{test::Col(db_, "Customer.CustName"),
                                     test::Col(db_, "Employee.EmpName")}));
@@ -39,7 +40,7 @@ TEST_F(RelaxedRetrievalTest, EmptyCellsCountAsCompatible) {
   et.AddRow({"", "Nexus"});
   // Column A has one empty cell: with support 2 a column qualifies with a
   // single contained value.
-  auto relaxed = RetrieveCandidateColumnsRelaxed(db_, et, 2);
+  auto relaxed = RetrieveCandidateColumnsRelaxed(DbView(db_), et, 2);
   EXPECT_EQ(relaxed[0].size(), 2u);  // CustName, EmpName
   EXPECT_EQ(relaxed[1].size(), 1u);  // DevName
 }
@@ -47,23 +48,23 @@ TEST_F(RelaxedRetrievalTest, EmptyCellsCountAsCompatible) {
 TEST_F(RelaxedRetrievalTest, SupportLargerThanRowsClamps) {
   ExampleTable et({"A"});
   et.AddRow({"Mike"});
-  auto relaxed = RetrieveCandidateColumnsRelaxed(db_, et, 99);
-  EXPECT_EQ(relaxed, RetrieveCandidateColumns(db_, et));
+  auto relaxed = RetrieveCandidateColumnsRelaxed(DbView(db_), et, 99);
+  EXPECT_EQ(relaxed, RetrieveCandidateColumns(DbView(db_), et));
 }
 
 TEST_F(RelaxedRetrievalTest, SupportZeroAdmitsEveryColumn) {
   ExampleTable et({"A"});
   et.AddRow({"Zelda"});
-  auto relaxed = RetrieveCandidateColumnsRelaxed(db_, et, 0);
+  auto relaxed = RetrieveCandidateColumnsRelaxed(DbView(db_), et, 0);
   EXPECT_EQ(relaxed[0].size(),
             static_cast<size_t>(db_.TotalTextColumns()));
 }
 
 TEST_F(RelaxedRetrievalTest, RelaxedIsSupersetOfStrict) {
   ExampleTable et = MakeFigure2ExampleTable();
-  auto strict = RetrieveCandidateColumns(db_, et);
+  auto strict = RetrieveCandidateColumns(DbView(db_), et);
   for (int k = 0; k <= et.num_rows(); ++k) {
-    auto relaxed = RetrieveCandidateColumnsRelaxed(db_, et, k);
+    auto relaxed = RetrieveCandidateColumnsRelaxed(DbView(db_), et, k);
     for (size_t c = 0; c < strict.size(); ++c) {
       for (const ColumnRef& col : strict[c]) {
         EXPECT_NE(std::find(relaxed[c].begin(), relaxed[c].end(), col),

@@ -1,5 +1,6 @@
-// Sharded-engine differential suite (DESIGN.md §15): DiscoverQueriesSharded
-// must be bit-identical to unsharded DiscoverQueries — same SQL set in the
+// Sharded-engine differential suite (DESIGN.md §15): DiscoverQueries over
+// the shard views of a partition must be bit-identical to DiscoverQueries
+// over the unpartitioned database — same SQL set in the
 // same order, exact-double scores, matched-row counts, candidate counts,
 // and the logical verification counters (verifications / estimated_cost /
 // pruned_without_verification are charged once per logical existence query
@@ -7,23 +8,25 @@
 //
 // 12 seeded decomposable databases × 9 random ETs = 108 instances, each
 // checked at shards {1, 2, 4} under both partition modes,
-// plus algorithm-coverage (VERIFYALL / SIMPLEPRUNE / relaxed support) and a
-// degenerate single-component retailer instance. Run under TSan and ASan by
-// the sanitizer CI legs.
+// plus algorithm-coverage (VERIFYALL / SIMPLEPRUNE / relaxed support), the
+// candidate-column lists of both retrievals, the per-shard stats contract
+// and a degenerate single-component retailer instance. Run under TSan and
+// ASan by the sanitizer CI legs.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "core/candidate_gen.h"
 #include "core/discovery.h"
 #include "datagen/et_gen.h"
 #include "datagen/retailer.h"
 #include "exec/executor.h"
 #include "ingest/db_view.h"
 #include "schema/schema_graph.h"
-#include "shard/coordinator.h"
 #include "shard/partition.h"
+#include "shard/shard_exec.h"
 #include "shard_test_util.h"
 
 namespace qbe {
@@ -141,8 +144,7 @@ TEST_P(ShardDifferentialTest, MatchesUnshardedAcrossShardCounts) {
     DiscoveryOptions options;
     DiscoveryResult reference = DiscoverQueries(wb.db, et, options);
     for (const auto& [label, sharding] : shardings) {
-      DiscoveryResult sharded =
-          DiscoverQueriesSharded(sharding.views, et, options);
+      DiscoveryResult sharded = DiscoverQueries(sharding.views, et, options, 0);
       ExpectBitIdentical(reference, sharded,
                          "seed " + std::to_string(seed) + " instance " +
                              std::to_string(instances) + " " + label);
@@ -167,8 +169,7 @@ TEST_P(ShardDifferentialTest, AllVerifiersAgreeSharded) {
       DiscoveryOptions options;
       options.algorithm = algorithm;
       DiscoveryResult reference = DiscoverQueries(wb.db, et, options);
-      DiscoveryResult sharded =
-          DiscoverQueriesSharded(sharding.views, et, options);
+      DiscoveryResult sharded = DiscoverQueries(sharding.views, et, options, 0);
       ExpectBitIdentical(reference, sharded,
                          "seed " + std::to_string(seed) + " algorithm " +
                              std::to_string(static_cast<int>(algorithm)));
@@ -188,8 +189,7 @@ TEST_P(ShardDifferentialTest, RelaxedSupportMatchesUnsharded) {
     DiscoveryOptions options;
     options.min_row_support = 2;
     DiscoveryResult reference = DiscoverQueries(wb.db, et, options);
-    DiscoveryResult sharded =
-        DiscoverQueriesSharded(sharding.views, et, options);
+    DiscoveryResult sharded = DiscoverQueries(sharding.views, et, options, 0);
     ExpectBitIdentical(reference, sharded,
                        "relaxed seed " + std::to_string(seed));
   }
@@ -231,8 +231,7 @@ TEST(ShardDifferentialDegenerateTest, SingleComponentDatabaseStillMatches) {
   for (const ExampleTable& et : source.SampleMany(params, 4, 4242)) {
     DiscoveryOptions options;
     DiscoveryResult reference = DiscoverQueries(db, et, options);
-    DiscoveryResult sharded =
-        DiscoverQueriesSharded(sharding.views, et, options);
+    DiscoveryResult sharded = DiscoverQueries(sharding.views, et, options, 0);
     ExpectBitIdentical(reference, sharded, "degenerate");
   }
 }
@@ -245,46 +244,100 @@ TEST(ShardDifferentialDegenerateTest, WeaveIsRejected) {
   for (const ExampleTable& et : RandomEts(wb, 5000)) {
     DiscoveryOptions options;
     options.algorithm = Algorithm::kWeave;
-    DiscoveryResult result = DiscoverQueriesSharded(sharding.views, et, options);
+    DiscoveryResult result = DiscoverQueries(sharding.views, et, options, 0);
     EXPECT_FALSE(result.ok());
     EXPECT_NE(result.error.find("WEAVE"), std::string::npos) << result.error;
     break;  // one ET suffices; the gate is input-independent
   }
 }
 
-// The owning coordinator wrapper produces the same results as calling the
-// free function over caller-held views, and reports shard stats.
-TEST(ShardCoordinatorTest, DiscoverMatchesFreeFunctionAndFillsStats) {
-  ShardWorkbench wb(3);
-  PartitionOptions poptions;
-  poptions.num_shards = 4;
-  poptions.mode = PartitionMode::kHashPk;
-  poptions.seed = 3;
-  ShardCoordinator coordinator(
-      SplitDatabase(wb.db, ComputePartitionPlan(wb.db, poptions)));
-  ASSERT_EQ(coordinator.num_shards(), 4);
+// The 1-view/N-view choice must not fork WEAVE's single-view path: over
+// one view (a 1-shard split) it runs and matches DiscoverQueries(db).
+TEST(ShardDifferentialDegenerateTest, WeaveOverOneViewMatchesDatabase) {
+  ShardWorkbench wb(1);
+  Sharding sharding = Shard(wb.db, 1, PartitionMode::kHashPk);
+  ASSERT_EQ(sharding.views.size(), 1u);
+  int instances = 0;
+  for (const ExampleTable& et : RandomEts(wb, 5000)) {
+    DiscoveryOptions options;
+    options.algorithm = Algorithm::kWeave;
+    DiscoveryResult reference = DiscoverQueries(wb.db, et, options);
+    ASSERT_TRUE(reference.ok()) << reference.error;
+    ExpectBitIdentical(reference,
+                       DiscoverQueries(sharding.views, et, options, 0),
+                       "weave one view");
+    if (++instances == 3) break;
+  }
+  EXPECT_EQ(instances, 3);
+}
 
+// Both candidate-column retrievals return exactly the unsplit lists (not
+// just the per-column counts the end-to-end checks compare): the strict
+// one, and the relaxed one at every support k in 1..m.
+TEST_P(ShardDifferentialTest, CandidateColumnListsMatchUnsharded) {
+  const uint64_t seed = GetParam();
+  ShardWorkbench wb(seed);
+  const DbView whole(wb.db);
+  std::vector<ExampleTable> ets = RandomEts(wb, seed + 7000);
+  // Cells of one ET column spread over several base columns: strict
+  // retrieval comes back empty and support k keeps the columns holding at
+  // least k of the cells, so the relaxed counts are merged across shards.
+  ExampleTable mixed({"A", "B"});
+  mixed.AddRow({"mike", "laptop"});
+  mixed.AddRow({"berlin", "laptop"});
+  mixed.AddRow({"mike", "express"});
+  ets.push_back(mixed);
+  for (int shards : {2, 4}) {
+    for (PartitionMode mode :
+         {PartitionMode::kHashPk, PartitionMode::kRowRange}) {
+      Sharding sharding = Shard(wb.db, shards, mode, seed);
+      const std::string what = std::string(PartitionModeName(mode)) + "/" +
+                               std::to_string(shards) + " seed " +
+                               std::to_string(seed);
+      for (const ExampleTable& et : ets) {
+        EXPECT_EQ(RetrieveCandidateColumns(sharding.views, et),
+                  RetrieveCandidateColumns(whole, et))
+            << what;
+        for (int k = 1; k <= et.num_rows(); ++k) {
+          EXPECT_EQ(RetrieveCandidateColumnsRelaxed(sharding.views, et, k),
+                    RetrieveCandidateColumnsRelaxed(whole, et, k))
+              << what << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
+// The stats contract of a multi-view run: one entry per shard, at least
+// one probe per logical existence query and at most one per shard, and a
+// straggler ratio of at least 1.
+TEST(ShardStatsTest, MultiViewRunFillsProbeBoundsAndStragglerRatio) {
+  ShardWorkbench wb(3);
   Sharding sharding = Shard(wb.db, 4, PartitionMode::kHashPk, 3);
+  int checked = 0;
   for (const ExampleTable& et : RandomEts(wb, 6000)) {
     DiscoveryOptions options;
     ShardStats stats;
-    DiscoveryResult via_coordinator = coordinator.Discover(et, options, &stats);
-    DiscoveryResult via_views = DiscoverQueriesSharded(sharding.views, et,
-                                                       options);
-    ExpectBitIdentical(via_views, via_coordinator, "coordinator");
-
+    DiscoveryResult result =
+        DiscoverQueries(sharding.views, et, options, 0, &stats);
+    ASSERT_TRUE(result.ok()) << result.error;
     ASSERT_EQ(stats.per_shard.size(), 4u);
-    if (via_coordinator.counters.verifications > 0) {
-      int64_t probes = 0;
-      for (const auto& shard : stats.per_shard) probes += shard.probes;
-      // Short-circuit scatter-gather: at least one probe per logical eval,
-      // at most num_shards.
-      EXPECT_GE(probes, via_coordinator.counters.verifications);
-      EXPECT_LE(probes, via_coordinator.counters.verifications * 4);
-      EXPECT_GE(stats.straggler_ratio, 1.0);
-    }
-    break;  // one ET exercises the wrapper; identity is covered above
+    EXPECT_GE(stats.straggler_ratio, 1.0);
+    if (result.counters.verifications == 0) continue;
+    int64_t probes = 0;
+    for (const auto& shard : stats.per_shard) probes += shard.probes;
+    EXPECT_GE(probes, result.counters.verifications);
+    EXPECT_LE(probes, result.counters.verifications * 4);
+    ++checked;
   }
+  EXPECT_GT(checked, 0);
+
+  // One view takes the plain-executor path and leaves the stats untouched.
+  Sharding one = Shard(wb.db, 1, PartitionMode::kHashPk);
+  ShardStats untouched;
+  DiscoverQueries(one.views, RandomEts(wb, 6000)[0], DiscoveryOptions{}, 0,
+                  &untouched);
+  EXPECT_TRUE(untouched.per_shard.empty());
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Partitioner unit tests (DESIGN.md §15): FK co-location over every edge,
 // full deterministic coverage, split integrity (rows, order, catalog),
 // empty/skewed shards, append routing (constraints, conflicts, the
-// orphan-children-then-parent sequence), and shardset manifest round-trip.
+// orphan-children-then-parent sequence), shardset manifest round-trip, and
+// opening a shardset (catalog agreement across shards).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "ingest/live_db.h"
 #include "shard/partition.h"
 #include "shard_test_util.h"
+#include "snapshot/snapshot.h"
 
 namespace qbe {
 namespace {
@@ -356,6 +358,46 @@ TEST(ShardSetTest, ManifestRoundTripsAndResolvesRelativePaths) {
   std::fclose(f);
   EXPECT_FALSE(ReadShardSet(path, &error).has_value());
   EXPECT_NE(error.find("qbe-shardset-v1"), std::string::npos);
+}
+
+// OpenShardSet: every shard of one logical database opens; a manifest that
+// mixes two datasets (different catalogs) is refused by name, as is a
+// missing snapshot.
+TEST(ShardSetTest, OpenShardSetChecksCatalogsAndPaths) {
+  const std::string dir = ::testing::TempDir();
+  Database db = MakeShardableDatabase(20, 2, 2, 5);
+  PartitionOptions options;
+  options.num_shards = 2;
+  std::vector<Database> split =
+      SplitDatabase(db, ComputePartitionPlan(db, options));
+  ShardSet set;
+  std::string error;
+  for (size_t s = 0; s < split.size(); ++s) {
+    set.paths.push_back(dir + "/open_shard" + std::to_string(s) + ".qbes");
+    ASSERT_TRUE(WriteSnapshot(split[s], set.paths.back(), &error)) << error;
+  }
+  std::optional<std::vector<Database>> opened = OpenShardSet(set, &error);
+  ASSERT_TRUE(opened.has_value()) << error;
+  ASSERT_EQ(opened->size(), 2u);
+  for (size_t s = 0; s < split.size(); ++s) {
+    for (int r = 0; r < db.num_relations(); ++r) {
+      EXPECT_EQ((*opened)[s].relation(r).num_rows(),
+                split[s].relation(r).num_rows());
+    }
+  }
+
+  const std::string other = dir + "/open_retailer.qbes";
+  ASSERT_TRUE(WriteSnapshot(MakeRetailerDatabase(), other, &error)) << error;
+  ShardSet mixed = set;
+  mixed.paths[1] = other;
+  EXPECT_FALSE(OpenShardSet(mixed, &error).has_value());
+  EXPECT_NE(error.find("catalog mismatch"), std::string::npos) << error;
+  EXPECT_NE(error.find(other), std::string::npos) << error;
+
+  ShardSet missing = set;
+  missing.paths.push_back(dir + "/no_such_shard.qbes");
+  EXPECT_FALSE(OpenShardSet(missing, &error).has_value());
+  EXPECT_NE(error.find(missing.paths.back()), std::string::npos) << error;
 }
 
 TEST(PartitionModeTest, NamesRoundTrip) {
