@@ -122,59 +122,58 @@ void BM_ColumnIndexLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_ColumnIndexLookup);
 
-void BM_ExecutorExists(benchmark::State& state) {
-  const Database& db = ImdbDb();
-  const SchemaGraph& graph = ImdbGraph();
-  Executor exec(db, graph);
-  // person <- cast_info -> title with two predicates.
+/// person <- cast_info -> title with two predicates: the existence query
+/// both executor benches probe.
+struct ExistsProbe {
+  JoinTree tree;
+  std::vector<PhrasePredicate> predicates;
+};
+
+ExistsProbe CastInfoProbe(const Database& db, const SchemaGraph& graph) {
   int person = db.RelationIdByName("person");
   int cast_info = db.RelationIdByName("cast_info");
   int title = db.RelationIdByName("title");
-  JoinTree tree = JoinTree::Single(cast_info);
+  ExistsProbe probe{JoinTree::Single(cast_info), {}};
   for (int e : graph.IncidentEdges(cast_info)) {
     int other = graph.OtherEnd(e, cast_info);
-    if ((other == person && !tree.verts.Test(person)) ||
-        (other == title && !tree.verts.Test(title))) {
-      tree = ExtendTree(tree, graph, e);
+    if ((other == person && !probe.tree.verts.Test(person)) ||
+        (other == title && !probe.tree.verts.Test(title))) {
+      probe.tree = ExtendTree(probe.tree, graph, e);
     }
   }
-  std::vector<PhrasePredicate> predicates = {
-      {ColumnRef{person, 1}, {"mike"}, false},
-      {ColumnRef{title, 1}, {"silent"}, false}};
+  probe.predicates = {{ColumnRef{person, 1}, {"mike"}, false},
+                      {ColumnRef{title, 1}, {"silent"}, false}};
+  return probe;
+}
+
+void BM_ExecutorExists(benchmark::State& state) {
+  // No match table: every call resolves the tokens and matches both
+  // phrases against the posting lists.
+  const Database& db = ImdbDb();
+  const SchemaGraph& graph = ImdbGraph();
+  Executor exec(db, graph);
+  const ExistsProbe probe = CastInfoProbe(db, graph);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(exec.Exists(tree, predicates));
+    benchmark::DoNotOptimize(exec.Exists(probe.tree, probe.predicates));
   }
 }
 BENCHMARK(BM_ExecutorExists);
 
 void BM_ExecutorExistsCached(benchmark::State& state) {
-  // Same probe as BM_ExecutorExists but with pre-resolved predicate ids and
-  // the per-request match cache, as DiscoverQueries runs it: after the first
-  // iteration every SeedNode probe is a shared-lock lookup.
+  // Same probe with pre-resolved predicate ids and the request's match
+  // table, as DiscoverQueries runs it: after the first iteration every
+  // SeedNode probe is a table hit.
   const Database& db = ImdbDb();
   const SchemaGraph& graph = ImdbGraph();
   Executor exec(db, graph);
-  int person = db.RelationIdByName("person");
-  int cast_info = db.RelationIdByName("cast_info");
-  int title = db.RelationIdByName("title");
-  JoinTree tree = JoinTree::Single(cast_info);
-  for (int e : graph.IncidentEdges(cast_info)) {
-    int other = graph.OtherEnd(e, cast_info);
-    if ((other == person && !tree.verts.Test(person)) ||
-        (other == title && !tree.verts.Test(title))) {
-      tree = ExtendTree(tree, graph, e);
-    }
-  }
-  std::vector<PhrasePredicate> predicates = {
-      {ColumnRef{person, 1}, {"mike"}, false},
-      {ColumnRef{title, 1}, {"silent"}, false}};
-  for (PhrasePredicate& pred : predicates) {
+  ExistsProbe probe = CastInfoProbe(db, graph);
+  for (PhrasePredicate& pred : probe.predicates) {
     pred.ids = db.token_dict().IdsOf(pred.tokens);
   }
-  MatchCache match_cache;
+  MatchCache match_table;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        exec.Exists(tree, predicates, nullptr, &match_cache));
+        exec.Exists(probe.tree, probe.predicates, nullptr, &match_table));
   }
 }
 BENCHMARK(BM_ExecutorExistsCached);

@@ -56,10 +56,14 @@ std::unique_ptr<CandidateVerifier> MakeVerifier(
 /// ET values pin down few base rows are likelier to reflect user intent).
 /// Match and live-row counts are integers summed over the views first
 /// (exact — rows partition across shards), so a sharded score is
-/// bit-identical to the unsharded one.
+/// bit-identical to the unsharded one. View `v`'s phrase matches come from
+/// `tables[v]`, the match table verification already filled, or are matched
+/// directly when it is null.
 double RankScore(std::span<const DbView> views,
-                 std::span<const EtTokenIds> et_ids, const ExampleTable& et,
+                 std::span<const EtTokenIds> et_ids,
+                 std::span<MatchCache* const> tables, const ExampleTable& et,
                  const CandidateQuery& query) {
+  std::vector<uint32_t> scratch;
   double selectivity_sum = 0.0;
   int cells = 0;
   for (int c = 0; c < et.num_columns(); ++c) {
@@ -70,7 +74,9 @@ double RankScore(std::span<const DbView> views,
       if (et.cell(r, c).IsEmpty()) continue;
       size_t matches = 0;
       for (size_t v = 0; v < views.size(); ++v) {
-        matches += views[v].MatchCount(col, et_ids[v].CellIds(r, c));
+        matches += MatchRows(tables[v], views[v], col, /*exact=*/false,
+                             et_ids[v].CellIds(r, c), &scratch)
+                       .size();
       }
       selectivity_sum += live_rows == 0
                              ? 0.0
@@ -186,13 +192,15 @@ DiscoveryResult DiscoverQueries(std::span<const DbView> views,
   et_ids.reserve(views.size());
   for (const DbView& view : views) et_ids.emplace_back(et, view);
   if (trace != nullptr) trace->CloseSpan(resolve_span);
-  MatchCache match_cache;
+  // The request's phrase-match table (one per shard when sharded), shared
+  // by verification and ranking; built only when caching is on.
+  std::optional<MatchCache> match_cache;
+  if (options.use_match_cache && !sharded) match_cache.emplace();
   VerifyContext ctx{db,           graph,         exec,
                     et,           candidates,    options.seed,
                     options.cache, options.deadline,
                     options.verify, sharded ? nullptr : &et_ids[0],
-                    options.use_match_cache && !sharded ? &match_cache
-                                                        : nullptr,
+                    match_cache ? &*match_cache : nullptr,
                     data_epoch,   sharded ? nullptr : views[0].delta(),
                     trace};
   // Shard-local executors with per-shard memo and match caches; every
@@ -243,6 +251,8 @@ DiscoveryResult DiscoverQueries(std::span<const DbView> views,
       matched[q] = valid[q] ? et.num_rows() : 0;
     }
   }
+  // Cache counters are read here, before ranking reads the same tables, so
+  // match_cache_* stays verification-phase traffic.
   if (sharded) {
     // Cache traffic lives per shard; fold it into the request counters
     // (diagnostics — hit counts legitimately differ from a one-view run,
@@ -255,11 +265,11 @@ DiscoveryResult DiscoverQueries(std::span<const DbView> views,
       result.counters.match_cache_lookups += sc.match_cache_lookups;
     }
     if (stats != nullptr) *stats = std::move(shard_stats);
-  } else {
+  } else if (match_cache) {
     result.counters.match_cache_hits +=
-        static_cast<int64_t>(match_cache.hits());
+        static_cast<int64_t>(match_cache->hits());
     result.counters.match_cache_lookups +=
-        static_cast<int64_t>(match_cache.lookups());
+        static_cast<int64_t>(match_cache->lookups());
   }
   if (trace != nullptr) {
     trace->CloseSpan(verify_span);
@@ -280,6 +290,11 @@ DiscoveryResult DiscoverQueries(std::span<const DbView> views,
   if (result.counters.aborted) return MarkTimedOut(result);
 
   ScopedSpan rank_span(trace, SpanKind::kRank);
+  std::vector<MatchCache*> tables;
+  for (size_t v = 0; v < views.size(); ++v) {
+    tables.push_back(sharded ? shard_set->match_cache(static_cast<int>(v))
+                             : ctx.match_cache);
+  }
   std::vector<std::string> labels;
   for (int c = 0; c < et.num_columns(); ++c)
     labels.push_back(et.column_name(c));
@@ -291,7 +306,7 @@ DiscoveryResult DiscoverQueries(std::span<const DbView> views,
                                    candidates[q].projection, labels);
     out.matched_rows = matched[q];
     out.score = options.rank_results
-                    ? RankScore(views, et_ids, et, candidates[q])
+                    ? RankScore(views, et_ids, tables, et, candidates[q])
                     : 0.0;
     result.queries.push_back(std::move(out));
   }

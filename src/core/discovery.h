@@ -70,9 +70,10 @@ struct DiscoveryOptions {
   VerifyOptions verify;
 
   /// Shares (column, phrase-ids) → row-set match results across every
-  /// existence query of this request (see exec/match_cache.h). Purely an
-  /// execution-cost optimization: outcomes, verification counts, and the
-  /// valid set are bit-identical with it on or off.
+  /// existence query and the ranking of this request (see
+  /// exec/match_cache.h). Purely an execution-cost optimization: outcomes,
+  /// verification counts, scores and the valid set are bit-identical with
+  /// it on or off.
   bool use_match_cache = true;
 
   /// Optional request-scoped trace (obs/trace.h, DESIGN.md §13): discovery

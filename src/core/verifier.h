@@ -57,7 +57,8 @@ struct VerificationCounters {
   int64_t subtree_memo_hits = 0;
   int64_t subtree_memo_lookups = 0;
   /// Shared (column, phrase-ids) → row-set cache traffic (MatchCache):
-  /// posting-list scans saved inside SeedNode. Execution-cost only; the
+  /// posting-list scans saved inside SeedNode during verification (ranking's
+  /// reads of the same table are not counted). Execution-cost only; the
   /// verification counters above are charged identically with or without
   /// the cache.
   int64_t match_cache_hits = 0;

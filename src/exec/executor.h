@@ -1,10 +1,7 @@
 #ifndef QBE_EXEC_EXECUTOR_H_
 #define QBE_EXEC_EXECUTOR_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -64,45 +61,32 @@ class Executor {
   /// heavily on join structure while differing mostly in predicates, so the
   /// predicate-free branches of their existence queries repeat across
   /// candidates (and across ET rows): materialize each once per request
-  /// instead of once per evaluation. One verifier call owns one memo and
-  /// uses it from its own thread; the memo is still thread-safe, and since
-  /// values are deterministic functions of the database, concurrent inserts
-  /// would be idempotent.
+  /// instead of once per evaluation. Single-threaded: one verifier call
+  /// owns one memo and uses it from the request's thread. Stored states
+  /// keep their address for the memo's lifetime (map nodes never move).
   class SubtreeMemo {
    public:
     /// The memoized reduced root state, or null. Counts a lookup (and a hit
     /// when found).
-    std::shared_ptr<const NodeState> Lookup(const SubtreeKey& key) {
-      lookups_.fetch_add(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(mu_);
+    const NodeState* Lookup(const SubtreeKey& key) {
+      ++lookups_;
       auto it = map_.find(key);
       if (it == map_.end()) return nullptr;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
+      ++hits_;
+      return &it->second;
     }
 
-    void Insert(const SubtreeKey& key,
-                std::shared_ptr<const NodeState> state) {
-      std::lock_guard<std::mutex> lock(mu_);
-      map_.emplace(key, std::move(state));
+    const NodeState& Insert(const SubtreeKey& key, NodeState state) {
+      return map_.emplace(key, std::move(state)).first->second;
     }
 
-    int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-    int64_t lookups() const {
-      return lookups_.load(std::memory_order_relaxed);
-    }
-    size_t size() const {
-      std::lock_guard<std::mutex> lock(mu_);
-      return map_.size();
-    }
+    int64_t hits() const { return hits_; }
+    int64_t lookups() const { return lookups_; }
 
    private:
-    mutable std::mutex mu_;
-    std::unordered_map<SubtreeKey, std::shared_ptr<const NodeState>,
-                       SubtreeKeyHash>
-        map_;
-    std::atomic<int64_t> hits_{0};
-    std::atomic<int64_t> lookups_{0};
+    std::unordered_map<SubtreeKey, NodeState, SubtreeKeyHash> map_;
+    int64_t hits_ = 0;
+    int64_t lookups_ = 0;
   };
 
   Executor(const Database& db, const SchemaGraph& graph)
@@ -119,8 +103,9 @@ class Executor {
   /// This is the engine behind every CQ-row and filter verification. A
   /// non-null `memo` shares reduced predicate-free subtrees across calls; a
   /// non-null `match_cache` shares per-(column, phrase) row sets across
-  /// calls (both thread-safe and outcome-neutral). A non-null `trace`
-  /// records text-match spans (obs/trace.h); observation-only.
+  /// calls (both outcome-neutral and single-threaded; a match table must
+  /// only ever see this executor's view). A non-null `trace` records
+  /// text-match spans (obs/trace.h); observation-only.
   bool Exists(const JoinTree& tree,
               const std::vector<PhrasePredicate>& predicates,
               SubtreeMemo* memo = nullptr,

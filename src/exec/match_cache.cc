@@ -1,43 +1,42 @@
 #include "exec/match_cache.h"
 
-#include <algorithm>
-
 namespace qbe {
+namespace {
 
-MatchCache::MatchCache(size_t shards) {
-  if (shards == 0) shards = 1;
-  shards_.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+void MatchInto(const DbView& view, const ColumnRef& col, bool exact,
+               std::span<const uint32_t> ids, std::vector<uint32_t>* rows) {
+  if (exact) {
+    view.MatchExactIdsInto(col, ids, rows);
+  } else {
+    view.MatchPhraseIdsInto(col, ids, rows);
   }
 }
 
-std::shared_ptr<const std::vector<uint32_t>> MatchCache::GetOrCompute(
-    int column_gid, bool exact, std::span<const uint32_t> ids,
-    const std::function<void(std::vector<uint32_t>*)>& compute) {
-  lookups_.fetch_add(1, std::memory_order_relaxed);
-  const KeyView view{column_gid, exact, ids};
-  const size_t hash = Hash{}(view);
-  Shard& shard = *shards_[hash % shards_.size()];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(view);
-    if (it != shard.map.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
+}  // namespace
+
+const std::vector<uint32_t>& MatchCache::Rows(const DbView& view,
+                                              const ColumnRef& col, bool exact,
+                                              std::span<const uint32_t> ids) {
+  ++lookups_;
+  key_.assign(1, static_cast<uint32_t>(view.TextColumnGid(col)) << 1 |
+                     (exact ? 1u : 0u));
+  key_.insert(key_.end(), ids.begin(), ids.end());
+  auto [it, inserted] = rows_.try_emplace(key_);
+  if (inserted) {
+    MatchInto(view, col, exact, ids, &it->second);
+  } else {
+    ++hits_;
   }
-  auto value = std::make_shared<std::vector<uint32_t>>();
-  compute(value.get());
-  std::shared_ptr<const std::vector<uint32_t>> result = std::move(value);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto [it, inserted] = shard.map.emplace(
-        Key{column_gid, exact, std::vector<uint32_t>(ids.begin(), ids.end())},
-        result);
-    if (!inserted) return it->second;  // lost the race; results identical
-  }
-  return result;
+  return it->second;
+}
+
+const std::vector<uint32_t>& MatchRows(MatchCache* table, const DbView& view,
+                                       const ColumnRef& col, bool exact,
+                                       std::span<const uint32_t> ids,
+                                       std::vector<uint32_t>* scratch) {
+  if (table != nullptr) return table->Rows(view, col, exact, ids);
+  MatchInto(view, col, exact, ids, scratch);
+  return *scratch;
 }
 
 }  // namespace qbe

@@ -1,102 +1,67 @@
 #ifndef QBE_EXEC_MATCH_CACHE_H_
 #define QBE_EXEC_MATCH_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "ingest/db_view.h"
+
 namespace qbe {
 
-/// Per-request cache of phrase-match results: (text column gid, exact?,
-/// token ids) → sorted row set. The same handful of ET-cell phrases is
-/// probed by SeedNode across thousands of candidate trees per request, so
-/// the cache turns repeated posting-list scans into one shared lookup.
+/// One request's phrase-match table: (text column gid, exact?, token ids) →
+/// sorted live row set, filled lazily. The same handful of ET-cell phrases
+/// is probed by SeedNode across thousands of candidate trees per request and
+/// again by ranking, so each phrase is matched at most once per column per
+/// request.
 ///
-/// Each request creates its own cache and uses it from one thread; the
-/// class is nevertheless thread-safe via sharding (one mutex per shard,
-/// keyed by the key hash). Values are computed OUTSIDE the shard lock and
-/// inserted idempotently: a match result is a pure function of the
-/// immutable database, so if two threads raced on the same key both would
-/// compute identical vectors and either insert would win.
+/// Single-threaded: a request owns its table and uses it from one thread.
+/// A table belongs to one view (row sets are view-local), so a sharded
+/// request keeps one table per shard. Returned row sets keep their address
+/// for the table's lifetime (map nodes never move).
 class MatchCache {
  public:
-  explicit MatchCache(size_t shards = 16);
+  MatchCache() = default;
   MatchCache(const MatchCache&) = delete;
   MatchCache& operator=(const MatchCache&) = delete;
 
-  /// Returns the cached row set for (column_gid, exact, ids), computing it
-  /// with `compute` on miss. `compute` must write the sorted result into the
-  /// vector it is handed; it may run concurrently with other computes (never
-  /// under a shard lock).
-  std::shared_ptr<const std::vector<uint32_t>> GetOrCompute(
-      int column_gid, bool exact, std::span<const uint32_t> ids,
-      const std::function<void(std::vector<uint32_t>*)>& compute);
+  /// The live rows of `col` (read through `view`) containing the phrase
+  /// `ids` — or, when `exact`, whose whole cell is the phrase. Matched on
+  /// the first lookup of the key, served from the table afterwards.
+  const std::vector<uint32_t>& Rows(const DbView& view, const ColumnRef& col,
+                                    bool exact, std::span<const uint32_t> ids);
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t lookups() const {
-    return lookups_.load(std::memory_order_relaxed);
-  }
+  uint64_t hits() const { return hits_; }
+  uint64_t lookups() const { return lookups_; }
 
  private:
-  struct Key {
-    int gid;
-    bool exact;
-    std::vector<uint32_t> ids;
-  };
-  struct KeyView {
-    int gid;
-    bool exact;
-    std::span<const uint32_t> ids;
-  };
-  struct Hash {
-    using is_transparent = void;
-    static size_t Mix(int gid, bool exact, std::span<const uint32_t> ids) {
-      uint64_t h = 1469598103934665603ull ^ static_cast<uint64_t>(gid) ^
-                   (exact ? 0x9e3779b97f4a7c15ull : 0);
-      for (uint32_t id : ids) {
-        h ^= id;
+  struct KeyHash {
+    size_t operator()(const std::vector<uint32_t>& key) const {
+      uint64_t h = 1469598103934665603ull;
+      for (uint32_t word : key) {
+        h ^= word;
         h *= 1099511628211ull;
       }
       return static_cast<size_t>(h);
     }
-    size_t operator()(const Key& k) const { return Mix(k.gid, k.exact, k.ids); }
-    size_t operator()(const KeyView& k) const {
-      return Mix(k.gid, k.exact, k.ids);
-    }
-  };
-  struct Eq {
-    using is_transparent = void;
-    static bool Same(int ag, bool ae, std::span<const uint32_t> ai, int bg,
-                     bool be, std::span<const uint32_t> bi) {
-      return ag == bg && ae == be && ai.size() == bi.size() &&
-             std::equal(ai.begin(), ai.end(), bi.begin());
-    }
-    bool operator()(const Key& a, const Key& b) const {
-      return Same(a.gid, a.exact, a.ids, b.gid, b.exact, b.ids);
-    }
-    bool operator()(const KeyView& a, const Key& b) const {
-      return Same(a.gid, a.exact, a.ids, b.gid, b.exact, b.ids);
-    }
-    bool operator()(const Key& a, const KeyView& b) const {
-      return Same(a.gid, a.exact, a.ids, b.gid, b.exact, b.ids);
-    }
-  };
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<Key, std::shared_ptr<const std::vector<uint32_t>>,
-                       Hash, Eq>
-        map;
   };
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> lookups_{0};
+  /// Key layout: [gid << 1 | exact, ids...]. `key_` is the lookup buffer,
+  /// so a hit allocates nothing.
+  std::vector<uint32_t> key_;
+  std::unordered_map<std::vector<uint32_t>, std::vector<uint32_t>, KeyHash>
+      rows_;
+  uint64_t hits_ = 0;
+  uint64_t lookups_ = 0;
 };
+
+/// Row set of phrase `ids` in `col`: from `table` when non-null, else
+/// matched directly into `*scratch` (the uncached reference path).
+const std::vector<uint32_t>& MatchRows(MatchCache* table, const DbView& view,
+                                       const ColumnRef& col, bool exact,
+                                       std::span<const uint32_t> ids,
+                                       std::vector<uint32_t>* scratch);
 
 }  // namespace qbe
 

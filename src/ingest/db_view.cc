@@ -51,14 +51,6 @@ void DbView::MatchExactIdsInto(const ColumnRef& col,
   delta_->MatchExactInto(col.rel, base_->TextColumnGid(col), ids, rows);
 }
 
-size_t DbView::MatchCount(const ColumnRef& col,
-                          std::span<const uint32_t> ids) const {
-  if (plain()) return base_->TextIndex(col).MatchPhraseIds(ids).size();
-  std::vector<uint32_t> rows;
-  MatchPhraseIdsInto(col, ids, &rows);
-  return rows.size();
-}
-
 bool DbView::AnyMatch(const ColumnRef& col,
                       std::span<const uint32_t> ids) const {
   const DeltaView::RelDelta* rd =
@@ -114,8 +106,7 @@ void DbView::ColumnsContainingIdsInto(std::span<const uint32_t> ids,
                  delta_gids.end(), std::back_inserter(*gids));
 }
 
-int32_t DbView::ParentRowOf(int edge, uint32_t from_row) const {
-  if (delta_ == nullptr) return base_->ParentRowOf(edge, from_row);
+int32_t DbView::OverlayParentRowOf(int edge, uint32_t from_row) const {
   const DeltaView::EdgeDelta& ed = delta_->edges[edge];
   if (!ed.affected) return base_->ParentRowOf(edge, from_row);
   const ForeignKey& fk = base_->foreign_key(edge);
@@ -127,9 +118,8 @@ int32_t DbView::ParentRowOf(int edge, uint32_t from_row) const {
   return it == ed.revalidated.end() ? -1 : it->second;
 }
 
-std::span<const uint32_t> DbView::ChildRowsOf(
+std::span<const uint32_t> DbView::OverlayChildRowsOf(
     int edge, uint32_t to_row, std::vector<uint32_t>* scratch) const {
-  if (delta_ == nullptr) return base_->ChildRowsOf(edge, to_row);
   const DeltaView::EdgeDelta& ed = delta_->edges[edge];
   const ForeignKey& fk = base_->foreign_key(edge);
   const uint32_t base_to = delta_->rels[fk.to_rel].base_rows;

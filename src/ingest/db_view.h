@@ -110,9 +110,6 @@ class DbView {
   void MatchExactIdsInto(const ColumnRef& col, std::span<const uint32_t> ids,
                          std::vector<uint32_t>* rows) const;
 
-  /// Number of live rows whose cell contains the phrase (RankScore).
-  size_t MatchCount(const ColumnRef& col, std::span<const uint32_t> ids) const;
-
   bool AnyMatch(const ColumnRef& col, std::span<const uint32_t> ids) const;
 
   // --- candidate generation -------------------------------------------------
@@ -137,11 +134,18 @@ class DbView {
 
   /// Live row of `to_rel` that `from_row` references via `edge`, or -1
   /// (dangling, or the referenced row is tombstoned and not reinserted).
-  int32_t ParentRowOf(int edge, uint32_t from_row) const;
+  /// The plain path is inline: semijoin loops call this once per row.
+  int32_t ParentRowOf(int edge, uint32_t from_row) const {
+    if (delta_ == nullptr) return base_->ParentRowOf(edge, from_row);
+    return OverlayParentRowOf(edge, from_row);
+  }
 
   /// Live rows of `from_rel` referencing `to_row` via `edge`, ascending.
   std::span<const uint32_t> ChildRowsOf(int edge, uint32_t to_row,
-                                        std::vector<uint32_t>* scratch) const;
+                                        std::vector<uint32_t>* scratch) const {
+    if (delta_ == nullptr) return base_->ChildRowsOf(edge, to_row);
+    return OverlayChildRowsOf(edge, to_row, scratch);
+  }
 
   /// Live rows of `from_rel` whose FK resolves to a live PK row, ascending.
   std::span<const uint32_t> ValidFromRows(int edge,
@@ -153,6 +157,10 @@ class DbView {
       int edge, std::vector<uint32_t>* scratch) const;
 
  private:
+  int32_t OverlayParentRowOf(int edge, uint32_t from_row) const;
+  std::span<const uint32_t> OverlayChildRowsOf(
+      int edge, uint32_t to_row, std::vector<uint32_t>* scratch) const;
+
   const Database* base_ = nullptr;
   const DeltaView* delta_ = nullptr;  // null ⇒ plain passthrough
 };

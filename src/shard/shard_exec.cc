@@ -12,16 +12,16 @@ ShardExecSet::ShardExecSet(std::span<const DbView> views,
   QBE_CHECK_MSG(!views.empty(), "ShardExecSet needs at least one shard");
   shards_.reserve(views.size());
   for (const DbView& view : views) {
-    shards_.push_back(std::make_unique<Shard>(view, graph, options));
+    shards_.emplace_back(view, graph, options);
   }
 }
 
 bool ShardExecSet::Exists(const JoinTree& tree,
                           const std::vector<PhrasePredicate>& predicates,
-                          TraceContext* trace, int* answered_by) const {
+                          TraceContext* trace, int* answered_by) {
   if (answered_by != nullptr) *answered_by = -1;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
+    Shard& shard = shards_[s];
     // A shard where some tree vertex has no live rows admits no witness;
     // skipping it is outcome-neutral and keeps skewed/empty shards cheap.
     bool has_empty_vertex = false;
@@ -29,21 +29,19 @@ bool ShardExecSet::Exists(const JoinTree& tree,
       if (shard.exec_view.LiveRows(v) == 0) has_empty_vertex = true;
     });
     if (has_empty_vertex) {
-      shard.skipped_empty.fetch_add(1, std::memory_order_relaxed);
+      ++shard.skipped_empty;
       continue;
     }
-    shard.probes.fetch_add(1, std::memory_order_relaxed);
+    ++shard.probes;
     if (trace != nullptr) trace->Count(TraceCounter::kShardProbes, 1);
     const auto t0 = std::chrono::steady_clock::now();
     const bool found = shard.exec.Exists(tree, predicates, shard.memo.get(),
                                          shard.match_cache.get(), trace);
-    shard.busy_ns.fetch_add(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count(),
-        std::memory_order_relaxed);
+    shard.busy_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
     if (found) {
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
+      ++shard.hits;
       if (answered_by != nullptr) *answered_by = static_cast<int>(s);
       return true;
     }
@@ -53,8 +51,8 @@ bool ShardExecSet::Exists(const JoinTree& tree,
 
 uint64_t ShardExecSet::TotalLiveRows(int rel) const {
   uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->exec_view.LiveRows(rel);
+  for (const Shard& shard : shards_) {
+    total += shard.exec_view.LiveRows(rel);
   }
   return total;
 }
@@ -65,22 +63,20 @@ ShardStats ShardExecSet::Stats() const {
   double max_busy = 0.0;
   double sum_busy = 0.0;
   int active = 0;
-  for (const auto& shard : shards_) {
+  for (const Shard& shard : shards_) {
     ShardStats::PerShard c;
-    c.probes = shard->probes.load(std::memory_order_relaxed);
-    c.hits = shard->hits.load(std::memory_order_relaxed);
-    c.skipped_empty = shard->skipped_empty.load(std::memory_order_relaxed);
-    c.busy_seconds =
-        static_cast<double>(shard->busy_ns.load(std::memory_order_relaxed)) /
-        1e9;
-    if (shard->memo != nullptr) {
-      c.subtree_memo_hits = shard->memo->hits();
-      c.subtree_memo_lookups = shard->memo->lookups();
+    c.probes = shard.probes;
+    c.hits = shard.hits;
+    c.skipped_empty = shard.skipped_empty;
+    c.busy_seconds = static_cast<double>(shard.busy_ns) / 1e9;
+    if (shard.memo != nullptr) {
+      c.subtree_memo_hits = shard.memo->hits();
+      c.subtree_memo_lookups = shard.memo->lookups();
     }
-    if (shard->match_cache != nullptr) {
-      c.match_cache_hits = static_cast<int64_t>(shard->match_cache->hits());
+    if (shard.match_cache != nullptr) {
+      c.match_cache_hits = static_cast<int64_t>(shard.match_cache->hits());
       c.match_cache_lookups =
-          static_cast<int64_t>(shard->match_cache->lookups());
+          static_cast<int64_t>(shard.match_cache->lookups());
     }
     if (c.probes > 0) {
       max_busy = std::max(max_busy, c.busy_seconds);

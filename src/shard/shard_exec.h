@@ -1,7 +1,6 @@
 #ifndef QBE_SHARD_SHARD_EXEC_H_
 #define QBE_SHARD_SHARD_EXEC_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -69,12 +68,11 @@ class ShardExecSet {
   /// existence query. Probes shards in canonical order with short-circuit;
   /// shards where any tree vertex has zero live rows are skipped without
   /// executing (outcome-neutral: an empty vertex admits no witness).
-  /// Called from the request's thread; it is nonetheless thread-safe
-  /// (per-shard memo/match caches lock and stats are atomic). Writes the
+  /// Single-threaded: called from the request's thread only. Writes the
   /// answering shard id to `answered_by` (-1 when no shard has a witness).
   bool Exists(const JoinTree& tree,
               const std::vector<PhrasePredicate>& predicates,
-              TraceContext* trace, int* answered_by) const;
+              TraceContext* trace, int* answered_by);
 
   /// Live rows of `rel` summed over all shards == the unsharded count
   /// (partitioning covers every row exactly once). FILTER's trivial-success
@@ -86,7 +84,12 @@ class ShardExecSet {
   ShardStats Stats() const;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  const DbView& view(int s) const { return shards_[s]->exec_view; }
+  const DbView& view(int s) const { return shards_[s].exec_view; }
+  /// Shard `s`'s match table (null when match caching is off); ranking
+  /// reads it for view `s` after verification.
+  MatchCache* match_cache(int s) const {
+    return shards_[s].match_cache.get();
+  }
 
  private:
   struct Shard {
@@ -94,10 +97,10 @@ class ShardExecSet {
     Executor exec;
     std::unique_ptr<Executor::SubtreeMemo> memo;
     std::unique_ptr<MatchCache> match_cache;
-    std::atomic<int64_t> probes{0};
-    std::atomic<int64_t> hits{0};
-    std::atomic<int64_t> skipped_empty{0};
-    std::atomic<int64_t> busy_ns{0};
+    int64_t probes = 0;
+    int64_t hits = 0;
+    int64_t skipped_empty = 0;
+    int64_t busy_ns = 0;
 
     Shard(const DbView& view, const SchemaGraph& graph,
           const Options& options)
@@ -110,9 +113,7 @@ class ShardExecSet {
                                               : nullptr) {}
   };
 
-  // unique_ptr per shard: Shard holds atomics and an Executor referencing
-  // its own exec_view, so elements must never move.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<Shard> shards_;
 };
 
 }  // namespace qbe

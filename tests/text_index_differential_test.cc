@@ -7,11 +7,15 @@
 //
 // Part 2 checks the end-to-end determinism contract around interning:
 // DiscoverQueries returns bit-identical ranked queries and verification
-// counts with the match cache on or off.
+// counts with the match table on or off — over a plain database, a live
+// epoch with appended rows and tombstones, and a 2-shard split — and
+// ranking's reads of the table leave the cache counters unchanged.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,6 +24,9 @@
 #include "datagen/retailer.h"
 #include "datagen/text_gen.h"
 #include "exec/executor.h"
+#include "ingest/live_db.h"
+#include "shard/partition.h"
+#include "shard_test_util.h"
 #include "text/column_index.h"
 #include "text/inverted_index.h"
 #include "text/token_dict.h"
@@ -238,8 +245,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TextIndexDifferentialTest,
 
 // --- end-to-end bit-identity around interning ------------------------------
 
-TEST(TextIndexEndToEndTest, DiscoveryBitIdenticalWithAndWithoutMatchCache) {
-  Database db = MakeScaledRetailerDatabase(30, 30, 12, 12, 120, 120, 50, 7);
+std::vector<ExampleTable> SampleEts(const Database& db, int count) {
   SchemaGraph graph(db);
   Executor exec(db, graph);
   EtSource::Options source_options;
@@ -252,40 +258,165 @@ TEST(TextIndexEndToEndTest, DiscoveryBitIdenticalWithAndWithoutMatchCache) {
   params.n = 3;
   params.s = 0.3;
   params.v = 1;
+  return source.SampleMany(params, count, 4242);
+}
 
-  int64_t total_verifications = 0;
-  int64_t total_cache_lookups = 0;
-  for (const ExampleTable& et : source.SampleMany(params, 6, 4242)) {
-    DiscoveryOptions base;
-    base.use_match_cache = false;
-    DiscoveryResult reference = DiscoverQueries(db, et, base);
-    total_verifications += reference.counters.verifications;
-    EXPECT_EQ(reference.counters.match_cache_lookups, 0);
-
-    // The match cache is an execution-cost knob only: the ranked query
-    // list and the verification counters are bit-identical to the
-    // uncached reference.
-    DiscoveryOptions cached;
-    cached.use_match_cache = true;
-    DiscoveryResult result = DiscoverQueries(db, et, cached);
-    ASSERT_EQ(result.ok(), reference.ok());
-    ASSERT_EQ(result.queries.size(), reference.queries.size());
-    for (size_t i = 0; i < result.queries.size(); ++i) {
-      EXPECT_EQ(result.queries[i].sql, reference.queries[i].sql);
-      EXPECT_EQ(result.queries[i].score, reference.queries[i].score);
-      EXPECT_EQ(result.queries[i].matched_rows,
-                reference.queries[i].matched_rows);
+/// Appends a copy of every third row of every relation (fresh values in
+/// referenced key columns, so ET phrases also hit overlay rows) and
+/// tombstones every fifth base row.
+void MutateEveryRelation(LiveDatabase& live) {
+  const DbVersion version = live.Pin();
+  const Database& db = *version.base;
+  std::string error;
+  for (int rel = 0; rel < db.num_relations(); ++rel) {
+    const Relation& relation = db.relation(rel);
+    std::vector<bool> is_key(relation.num_columns(), false);
+    for (const ForeignKey& fk : db.foreign_keys()) {
+      if (fk.to_rel == rel) is_key[fk.to_col] = true;
     }
-    EXPECT_EQ(result.counters.verifications,
-              reference.counters.verifications)
-        << "match cache changed the verification count";
-    EXPECT_EQ(result.counters.estimated_cost,
-              reference.counters.estimated_cost);
-    total_cache_lookups += result.counters.match_cache_lookups;
+    std::vector<std::vector<Value>> copies;
+    for (uint32_t row = 0; row < relation.num_rows(); row += 3) {
+      std::vector<Value>& values = copies.emplace_back();
+      for (int c = 0; c < relation.num_columns(); ++c) {
+        if (relation.columns()[c].type == ColumnType::kText) {
+          values.emplace_back(std::string(relation.TextAt(c, row)));
+        } else {
+          values.emplace_back(is_key[c] ? int64_t{1000000} + row
+                                        : relation.IdAt(c, row));
+        }
+      }
+    }
+    ASSERT_TRUE(live.AppendBatch(rel, std::move(copies), &error)) << error;
+    for (uint32_t row = 1; row < relation.num_rows(); row += 5) {
+      ASSERT_TRUE(live.Tombstone(rel, row, &error)) << error;
+    }
+  }
+}
+
+/// Runs `et` over `views` with the match table off (the reference: every
+/// phrase, rank's included, matched directly) and on, and checks that the
+/// ranked SQL, score bits, matched rows and verification counters agree.
+/// Returns the cached run's table lookups.
+int64_t ExpectMatchTableNeutral(std::span<const DbView> views,
+                                const ExampleTable& et, uint64_t epoch,
+                                int64_t* verifications) {
+  DiscoveryOptions base;
+  base.use_match_cache = false;
+  DiscoveryResult reference = DiscoverQueries(views, et, base, epoch);
+  *verifications += reference.counters.verifications;
+  EXPECT_EQ(reference.counters.match_cache_lookups, 0);
+
+  // The match cache is an execution-cost knob only: the ranked query
+  // list and the verification counters are bit-identical to the
+  // uncached reference.
+  DiscoveryOptions cached;
+  cached.use_match_cache = true;
+  DiscoveryResult result = DiscoverQueries(views, et, cached, epoch);
+  EXPECT_EQ(result.ok(), reference.ok());
+  EXPECT_EQ(result.queries.size(), reference.queries.size());
+  for (size_t i = 0;
+       i < std::min(result.queries.size(), reference.queries.size()); ++i) {
+    EXPECT_EQ(result.queries[i].sql, reference.queries[i].sql);
+    EXPECT_EQ(result.queries[i].score, reference.queries[i].score);
+    EXPECT_EQ(std::bit_cast<uint64_t>(result.queries[i].score),
+              std::bit_cast<uint64_t>(reference.queries[i].score));
+    EXPECT_EQ(result.queries[i].matched_rows,
+              reference.queries[i].matched_rows);
+  }
+  EXPECT_EQ(result.counters.verifications, reference.counters.verifications)
+      << "match cache changed the verification count";
+  EXPECT_EQ(result.counters.estimated_cost,
+            reference.counters.estimated_cost);
+  EXPECT_EQ(result.counters.pruned_without_verification,
+            reference.counters.pruned_without_verification);
+  EXPECT_EQ(result.counters.subtree_memo_lookups,
+            reference.counters.subtree_memo_lookups);
+  return result.counters.match_cache_lookups;
+}
+
+TEST(TextIndexEndToEndTest, DiscoveryBitIdenticalWithAndWithoutMatchCache) {
+  Database db = MakeScaledRetailerDatabase(30, 30, 12, 12, 120, 120, 50, 7);
+  const std::vector<ExampleTable> ets = SampleEts(db, 6);
+
+  // A live epoch with appended rows and tombstones on every relation.
+  LiveDatabase live(MakeScaledRetailerDatabase(30, 30, 12, 12, 120, 120, 50, 7));
+  MutateEveryRelation(live);
+  const DbVersion version = live.Pin();
+  ASSERT_NE(version.delta, nullptr);
+  const DbView live_view = version.view();
+
+  // A 2-shard split of a database whose join components actually spread
+  // (the retailer is one component).
+  Database shardable = MakeShardableDatabase(40, 3, 2, 5);
+  const std::vector<ExampleTable> shard_ets = SampleEts(shardable, 6);
+  PartitionOptions partition;
+  partition.num_shards = 2;
+  const std::vector<Database> shard_dbs =
+      SplitDatabase(shardable, ComputePartitionPlan(shardable, partition));
+  std::vector<DbView> shard_views(shard_dbs.begin(), shard_dbs.end());
+  ASSERT_EQ(shard_views.size(), 2u);
+  for (const DbView& view : shard_views) ASSERT_GT(view.LiveRows(0), 0u);
+
+  int64_t plain_verifications = 0, plain_lookups = 0;
+  int64_t live_verifications = 0, live_lookups = 0;
+  int64_t shard_verifications = 0, shard_lookups = 0;
+  const DbView plain_view(db);
+  for (const ExampleTable& et : ets) {
+    plain_lookups += ExpectMatchTableNeutral(std::span(&plain_view, 1), et, 0,
+                                             &plain_verifications);
+    live_lookups += ExpectMatchTableNeutral(std::span(&live_view, 1), et,
+                                            version.epoch,
+                                            &live_verifications);
+  }
+  for (const ExampleTable& et : shard_ets) {
+    shard_lookups +=
+        ExpectMatchTableNeutral(shard_views, et, 0, &shard_verifications);
   }
   // Guard against a degenerate instance set silently passing the check.
-  EXPECT_GT(total_verifications, 0);
-  EXPECT_GT(total_cache_lookups, 0);
+  EXPECT_GT(plain_verifications, 0);
+  EXPECT_GT(plain_lookups, 0);
+  EXPECT_GT(live_verifications, 0);
+  EXPECT_GT(live_lookups, 0);
+  EXPECT_GT(shard_verifications, 0);
+  EXPECT_GT(shard_lookups, 0);
+}
+
+// Ranking reads the match table after verification, but match_cache_* stays
+// verification-phase traffic: rank on and off report identical cache and
+// verification counters, on one view and over two shards.
+TEST(TextIndexEndToEndTest, RankingLeavesMatchCacheCountersUnchanged) {
+  Database db = MakeShardableDatabase(40, 3, 2, 5);
+  PartitionOptions partition;
+  partition.num_shards = 2;
+  const std::vector<Database> shard_dbs =
+      SplitDatabase(db, ComputePartitionPlan(db, partition));
+  const std::vector<DbView> shard_views(shard_dbs.begin(), shard_dbs.end());
+  const DbView plain_view(db);
+  const std::span<const DbView> layouts[] = {std::span(&plain_view, 1),
+                                             shard_views};
+
+  int64_t total_lookups = 0;
+  for (const ExampleTable& et : SampleEts(db, 6)) {
+    for (std::span<const DbView> views : layouts) {
+      DiscoveryOptions ranked;
+      ranked.rank_results = true;
+      DiscoveryOptions unranked;
+      unranked.rank_results = false;
+      const DiscoveryResult a = DiscoverQueries(views, et, ranked, 0);
+      const DiscoveryResult b = DiscoverQueries(views, et, unranked, 0);
+      EXPECT_EQ(a.queries.size(), b.queries.size());
+      EXPECT_EQ(a.counters.match_cache_hits, b.counters.match_cache_hits);
+      EXPECT_EQ(a.counters.match_cache_lookups,
+                b.counters.match_cache_lookups);
+      EXPECT_EQ(a.counters.verifications, b.counters.verifications);
+      EXPECT_EQ(a.counters.estimated_cost, b.counters.estimated_cost);
+      EXPECT_EQ(a.counters.subtree_memo_hits, b.counters.subtree_memo_hits);
+      EXPECT_EQ(a.counters.subtree_memo_lookups,
+                b.counters.subtree_memo_lookups);
+      total_lookups += a.counters.match_cache_lookups;
+    }
+  }
+  EXPECT_GT(total_lookups, 0);
 }
 
 }  // namespace
