@@ -1,7 +1,5 @@
 // Ablation study for the design choices DESIGN.md calls out:
 //   * FILTER's failure prior p̂ (the unspecified constant of §5.3.1),
-//   * exact vs lazy-greedy selection (accelerated argmax),
-//   * the adaptive (online-estimated) prior extension,
 //   * baseline row orderings (random vs dense-first, §4.1),
 //   * the shared join-subtree memo (DESIGN.md §9) — the memo hit rate is
 //     printed per variant so perf regressions show up in bench output.
@@ -16,7 +14,6 @@
 #include "core/filter_verifier.h"
 #include "core/simple_prune.h"
 #include "core/verify_all.h"
-#include "exec/stats.h"
 #include "harness/experiment.h"
 #include "harness/table_printer.h"
 
@@ -31,7 +28,6 @@ struct Variant {
 
 void Run(const BenchArgs& args) {
   Bundle bundle = MakeBundle(DatasetKind::kImdb, args.scale, args.seed);
-  Statistics stats(*bundle.db);
   EtParams params;  // Table 3 defaults
   std::vector<ExampleTable> ets =
       bundle.ets->SampleMany(params, args.ets_per_point, args.seed);
@@ -47,28 +43,11 @@ void Run(const BenchArgs& args) {
                       std::make_unique<SimplePrune>(RowOrder::kDenseFirst)});
   for (double prior : {0.0, 0.05, 0.1, 0.2, 0.5}) {
     variants.push_back({"Filter(p=" + FormatDouble(prior, 2) + ")",
-                        std::make_unique<FilterVerifier>(prior, false)});
+                        std::make_unique<FilterVerifier>(prior)});
   }
-  variants.push_back(
-      {"Filter(lazy greedy)", std::make_unique<FilterVerifier>(0.1, true)});
-  {
-    FilterVerifier::Options options;
-    options.adaptive_prior = true;
-    variants.push_back({"Filter(adaptive prior)",
-                        std::make_unique<FilterVerifier>(options)});
-  }
-  {
-    FilterVerifier::Options options;
-    options.cost_model = FilterCostModel::kEstimated;
-    options.stats = &stats;
-    variants.push_back({"Filter(estimated cost)",
-                        std::make_unique<FilterVerifier>(options)});
-  }
-  variants.push_back(
-      {"Filter(exact greedy)", std::make_unique<FilterVerifier>(0.1, false)});
   variants.push_back({"ExecuteAll", std::make_unique<ExecuteAll>()});
   // The subtree memo switched off to isolate its contribution; compare
-  // with the VerifyAll(dense-first) and Filter(lazy greedy) rows above.
+  // with the VerifyAll(dense-first) and Filter(p=0.10) rows above.
   variants.push_back({"VerifyAll(no memo)",
                       std::make_unique<VerifyAll>(RowOrder::kDenseFirst),
                       VerifyOptions{.subtree_memo = false}});

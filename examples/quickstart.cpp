@@ -39,9 +39,9 @@ int main() {
   }
 
   // The same discovery through every verification algorithm must agree.
-  for (qbe::Algorithm algo :
-       {qbe::Algorithm::kVerifyAll, qbe::Algorithm::kSimplePrune,
-        qbe::Algorithm::kFilterExact, qbe::Algorithm::kWeave}) {
+  for (qbe::Algorithm algo : {qbe::Algorithm::kVerifyAll,
+                              qbe::Algorithm::kSimplePrune,
+                              qbe::Algorithm::kWeave}) {
     qbe::DiscoveryOptions alt = options;
     alt.algorithm = algo;
     qbe::DiscoveryResult r2 = qbe::DiscoverQueries(db, et, alt);

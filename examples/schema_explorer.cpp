@@ -21,8 +21,6 @@ const char* AlgoLabel(qbe::Algorithm algo) {
       return "SimplePrune";
     case qbe::Algorithm::kFilter:
       return "Filter";
-    case qbe::Algorithm::kFilterExact:
-      return "Filter(exact)";
     case qbe::Algorithm::kWeave:
       return "Weave";
   }
@@ -63,8 +61,7 @@ int main() {
   size_t expected = SIZE_MAX;
   for (qbe::Algorithm algo :
        {qbe::Algorithm::kVerifyAll, qbe::Algorithm::kSimplePrune,
-        qbe::Algorithm::kFilter, qbe::Algorithm::kFilterExact,
-        qbe::Algorithm::kWeave}) {
+        qbe::Algorithm::kFilter, qbe::Algorithm::kWeave}) {
     qbe::DiscoveryOptions options;
     options.algorithm = algo;
     qbe::Stopwatch timer;

@@ -24,27 +24,19 @@ SpanKind VerifySpanKind(Algorithm algorithm) {
     case Algorithm::kVerifyAll: return SpanKind::kVerifyAll;
     case Algorithm::kSimplePrune: return SpanKind::kSimplePrune;
     case Algorithm::kFilter: return SpanKind::kFilter;
-    case Algorithm::kFilterExact: return SpanKind::kFilterExact;
     case Algorithm::kWeave: return SpanKind::kWeave;
   }
   return SpanKind::kVerifyAll;
 }
 
-std::unique_ptr<CandidateVerifier> MakeVerifier(
-    const DiscoveryOptions& options) {
-  switch (options.algorithm) {
+std::unique_ptr<CandidateVerifier> MakeVerifier(Algorithm algorithm) {
+  switch (algorithm) {
     case Algorithm::kVerifyAll:
-      return std::make_unique<VerifyAll>(options.row_order);
+      return std::make_unique<VerifyAll>();
     case Algorithm::kSimplePrune:
-      return std::make_unique<SimplePrune>(options.row_order);
-    case Algorithm::kFilter: {
-      FilterVerifier::Options fo;
-      fo.failure_prior = options.failure_prior;
-      return std::make_unique<FilterVerifier>(fo);
-    }
-    case Algorithm::kFilterExact:
-      // Exact greedy argmax (the lazy accelerated scan is the default).
-      return std::make_unique<FilterVerifier>(options.failure_prior, false);
+      return std::make_unique<SimplePrune>();
+    case Algorithm::kFilter:
+      return std::make_unique<FilterVerifier>();
     case Algorithm::kWeave:
       return std::make_unique<JoinTreeWeave>();
   }
@@ -196,13 +188,19 @@ DiscoveryResult DiscoverQueries(std::span<const DbView> views,
   // by verification and ranking; built only when caching is on.
   std::optional<MatchCache> match_cache;
   if (options.use_match_cache && !sharded) match_cache.emplace();
-  VerifyContext ctx{db,           graph,         exec,
-                    et,           candidates,    options.seed,
-                    options.cache, options.deadline,
-                    options.verify, sharded ? nullptr : &et_ids[0],
-                    match_cache ? &*match_cache : nullptr,
-                    data_epoch,   sharded ? nullptr : views[0].delta(),
-                    trace};
+  VerifyContext ctx{.db = db,
+                    .graph = graph,
+                    .exec = exec,
+                    .et = et,
+                    .candidates = candidates,
+                    .cache = options.cache,
+                    .deadline = options.deadline,
+                    .verify = options.verify,
+                    .et_ids = sharded ? nullptr : &et_ids[0],
+                    .match_cache = match_cache ? &*match_cache : nullptr,
+                    .data_epoch = data_epoch,
+                    .delta = sharded ? nullptr : views[0].delta(),
+                    .trace = trace};
   // Shard-local executors with per-shard memo and match caches; every
   // evaluation routes through ctx.shards instead of `exec`.
   std::optional<ShardExecSet> shard_set;
@@ -244,8 +242,8 @@ DiscoveryResult DiscoverQueries(std::span<const DbView> views,
     }
     result.counters.elapsed_seconds += timer.ElapsedSeconds();
   } else {
-    std::unique_ptr<CandidateVerifier> verifier = MakeVerifier(options);
-    std::vector<bool> valid = verifier->Verify(ctx, &result.counters);
+    std::vector<bool> valid =
+        MakeVerifier(options.algorithm)->Verify(ctx, &result.counters);
     for (size_t q = 0; q < candidates.size(); ++q) {
       keep[q] = valid[q];
       matched[q] = valid[q] ? et.num_rows() : 0;

@@ -24,7 +24,6 @@ enum class Algorithm {
   kVerifyAll,
   kSimplePrune,
   kFilter,
-  kFilterExact,
   kWeave,
 };
 
@@ -33,15 +32,6 @@ struct DiscoveryOptions {
   int max_join_tree_size = 4;
 
   Algorithm algorithm = Algorithm::kFilter;
-
-  /// Row order for the baseline algorithms.
-  RowOrder row_order = RowOrder::kDenseFirst;
-
-  /// p̂ of FILTER's probabilistic model (§5.3.1).
-  double failure_prior = 0.1;
-
-  /// Seed for any randomized choices (e.g., RowOrder::kRandom).
-  uint64_t seed = 42;
 
   /// Relaxed validity (paper §8 future work): when ≥ 0, a query is
   /// reported if it contains at least this many ET rows in its output

@@ -31,28 +31,14 @@ Filter MakeFilter(const CandidateQuery& query, const JoinTree& subtree,
 std::vector<PhrasePredicate> FilterPredicates(const Filter& filter,
                                               const ExampleTable& et) {
   std::vector<PhrasePredicate> predicates;
-  FilterPredicatesInto(filter, et, nullptr, &predicates);
-  return predicates;
-}
-
-void FilterPredicatesInto(const Filter& filter, const ExampleTable& et,
-                          const EtTokenIds* et_ids,
-                          std::vector<PhrasePredicate>* out) {
-  size_t n = 0;
   for (int c = 0; c < et.num_columns(); ++c) {
     if (((filter.constrained_mask >> c) & 1) == 0) continue;
-    if (out->size() == n) out->emplace_back();
-    PhrasePredicate& pred = (*out)[n++];
+    PhrasePredicate& pred = predicates.emplace_back();
     pred.column = filter.phi[c];
     pred.tokens = et.CellTokens(filter.row, c);
     pred.exact = et.cell(filter.row, c).exact;
-    if (et_ids != nullptr) {
-      pred.ids = et_ids->CellIds(filter.row, c);
-    } else {
-      pred.ids.clear();
-    }
   }
-  out->resize(n);
+  return predicates;
 }
 
 bool IsSubFilterOf(const Filter& sub, const Filter& super) {

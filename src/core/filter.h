@@ -51,14 +51,10 @@ struct Filter {
 Filter MakeFilter(const CandidateQuery& query, const JoinTree& subtree,
                   const ExampleTable& et, int row);
 
-/// The CONTAINS predicates evaluating this filter (Definition 6).
+/// The CONTAINS predicates evaluating this filter (Definition 6), without
+/// token ids.
 std::vector<PhrasePredicate> FilterPredicates(const Filter& filter,
                                               const ExampleTable& et);
-
-/// Allocation-reusing variant of FilterPredicates (see RowPredicatesInto).
-void FilterPredicatesInto(const Filter& filter, const ExampleTable& et,
-                          const EtTokenIds* et_ids,
-                          std::vector<PhrasePredicate>* out);
 
 /// Sub-filter relation: true iff `sub.tree` ⊆ `super.tree`, rows match, and
 /// for every non-empty cell either sub's φ is undefined or equals super's.

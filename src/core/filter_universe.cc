@@ -126,17 +126,26 @@ size_t FilterUniverse::FilterRange::size() const {
   return n;
 }
 
-Filter FilterUniverse::Materialize(int f) const {
+void FilterUniverse::PredicatesInto(int f, const ExampleTable& et,
+                                    const EtTokenIds* et_ids,
+                                    std::vector<PhrasePredicate>* out) const {
   const FilterRecord& rec = filters[f];
-  const FilterClass& cls = classes[rec.cls];
   std::span<const ColumnRef> phi = Phi(rec.projection);
-  Filter filter;
-  filter.tree = trees[rec.tree];
-  filter.phi.assign(phi.begin(), phi.end());
-  filter.row = rec.row;
-  filter.constrained_mask = cls.constrained_mask;
-  filter.exact_mask = cls.exact_mask;
-  return filter;
+  size_t n = 0;
+  for (uint32_t m = classes[rec.cls].constrained_mask; m != 0; m &= m - 1) {
+    const int c = std::countr_zero(m);
+    if (out->size() == n) out->emplace_back();
+    PhrasePredicate& pred = (*out)[n++];
+    pred.column = phi[c];
+    pred.tokens = et.CellTokens(rec.row, c);
+    pred.exact = et.cell(rec.row, c).exact;
+    if (et_ids != nullptr) {
+      pred.ids = et_ids->CellIds(rec.row, c);
+    } else {
+      pred.ids.clear();
+    }
+  }
+  out->resize(n);
 }
 
 namespace {

@@ -9,7 +9,7 @@
 
 #include "core/candidate_query.h"
 #include "core/example_table.h"
-#include "core/filter.h"
+#include "exec/predicate.h"
 #include "schema/schema_graph.h"
 
 namespace qbe {
@@ -170,8 +170,12 @@ struct FilterUniverse {
             static_cast<size_t>(num_columns)};
   }
 
-  /// The filter as a self-contained value (the form MakeFilter builds).
-  Filter Materialize(int f) const;
+  /// The CONTAINS predicates evaluating filter f (Definition 6), built
+  /// from its record into `out`: one per constrained cell of its class, in
+  /// column order, on φ' of its projection. Carries token ids when
+  /// `et_ids` is set.
+  void PredicatesInto(int f, const ExampleTable& et, const EtTokenIds* et_ids,
+                      std::vector<PhrasePredicate>* out) const;
 
   /// Distinct join trees: every candidate tree and all their connected
   /// subtrees.

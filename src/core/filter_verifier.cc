@@ -1,6 +1,5 @@
 #include "core/filter_verifier.h"
 
-#include <algorithm>
 #include <functional>
 #include <queue>
 #include <utility>
@@ -23,9 +22,6 @@ struct AdaptiveState {
   const FilterUniverse& u;
   const VerifyContext& ctx;
   double failure_prior;
-  bool adaptive_prior = false;
-  int evaluated = 0;
-  int failed = 0;
 
   std::vector<FilterState> state;
   std::vector<char> in_fx;          // FX membership
@@ -42,11 +38,6 @@ struct AdaptiveState {
   // outcome is still unknown.
   std::vector<int64_t> fx_live;
   std::vector<int> unknown;
-
-  // Per-class selection cost under the configured cost model (the
-  // counters always charge the paper's tree-size cost so metrics stay
-  // comparable; the model only steers selection).
-  std::vector<double> selection_cost;
 
   AdaptiveState(const FilterUniverse& universe, const VerifyContext& context,
                 double prior)
@@ -77,20 +68,8 @@ struct AdaptiveState {
   }
 
   double FailureProbability(int f) const {
-    double prior = failure_prior;
-    if (adaptive_prior) {
-      // Bayes-smoothed running failure rate, clamped away from the
-      // degenerate extremes; the model keeps the paper's "constant p̂"
-      // structure, only the constant tracks the workload.
-      prior = std::clamp((1.0 + failed) / (2.0 + evaluated), 0.02, 0.9);
-    }
-    return prior * u.classes[u.filters[f].cls].NumConstrainedCells() /
+    return failure_prior * u.classes[u.filters[f].cls].NumConstrainedCells() /
            ctx.et.num_columns();
-  }
-
-  void RecordOutcome(bool success) {
-    ++evaluated;
-    failed += success ? 0 : 1;
   }
 
   /// E[W(F | ...)] / cost(F), Eqs. (5)-(7) and (9). W+ counts the
@@ -110,7 +89,7 @@ struct AdaptiveState {
     double p = FailureProbability(f);
     double expected = (1.0 - p) * static_cast<double>(w_plus) +
                       p * static_cast<double>(w_minus);
-    return expected / selection_cost[cls];
+    return expected / u.classes[cls].tree_size;
   }
 
   void RemoveFromFx(int f) {
@@ -193,20 +172,6 @@ struct AdaptiveState {
   }
 };
 
-int SelectExact(const AdaptiveState& s) {
-  int best = -1;
-  double best_score = 0.0;
-  for (int f = 0; f < s.u.num_filters(); ++f) {
-    if (!s.in_fx[f]) continue;
-    double score = s.Score(f);
-    if (score > best_score) {
-      best_score = score;
-      best = f;
-    }
-  }
-  return best >= 0 ? best : s.FallbackSelection();
-}
-
 }  // namespace
 
 std::vector<bool> FilterVerifier::Verify(const VerifyContext& ctx,
@@ -219,22 +184,7 @@ std::vector<bool> FilterVerifier::Verify(const VerifyContext& ctx,
     ScopedSpan span(ctx.trace, SpanKind::kFilterUniverse);
     return BuildFilterUniverse(ctx.graph, ctx.et, ctx.candidates);
   }();
-  AdaptiveState s(universe, ctx, options_.failure_prior);
-  s.adaptive_prior = options_.adaptive_prior;
-  s.selection_cost.resize(universe.num_classes());
-  for (int c = 0; c < universe.num_classes(); ++c) {
-    const FilterClass& cls = universe.classes[c];
-    if (options_.cost_model == FilterCostModel::kEstimated) {
-      QBE_CHECK_MSG(options_.stats != nullptr,
-                    "kEstimated cost model requires Options::stats");
-      const Filter filter =
-          universe.Materialize(universe.filters_of_class[c][0]);
-      s.selection_cost[c] = options_.stats->EstimateProbeCost(
-          ctx.graph, filter.tree, FilterPredicates(filter, ctx.et));
-    } else {
-      s.selection_cost[c] = cls.tree_size;
-    }
-  }
+  AdaptiveState s(universe, ctx, failure_prior_);
 
   // Trivially successful classes (see FilterClass::IsTriviallySuccessful)
   // are resolved up front: candidate generation already proved them, so no
@@ -252,46 +202,34 @@ std::vector<bool> FilterVerifier::Verify(const VerifyContext& ctx,
     if (live_rows > 0) s.MarkClassSuccess(c);
   }
 
-  if (options_.lazy_greedy) {
-    // Max-heap of (stale score, filter). Scores are adaptively diminishing,
-    // so a stale entry is an upper bound: pop, rescore, and accept when the
-    // fresh score still dominates the next entry's stale bound. Entries
-    // are distinct pairs, so the pop order does not depend on how the heap
-    // was built.
-    std::vector<std::pair<double, int>> entries;
-    entries.reserve(universe.num_filters());
-    for (int f = 0; f < universe.num_filters(); ++f) {
-      entries.emplace_back(s.Score(f), f);
-    }
-    std::priority_queue<std::pair<double, int>> heap(
-        std::less<std::pair<double, int>>(), std::move(entries));
-    while (s.num_alive > 0) {
-      int chosen = -1;
-      while (!heap.empty()) {
-        auto [stale, f] = heap.top();
-        heap.pop();
-        if (!s.in_fx[f]) continue;
-        double fresh = s.Score(f);
-        if (heap.empty() || fresh >= heap.top().first) {
-          chosen = f;
-          break;
-        }
-        heap.emplace(fresh, f);
+  // Max-heap of (stale score, filter). Scores are adaptively diminishing,
+  // so a stale entry is an upper bound: pop, rescore, and accept when the
+  // fresh score still dominates the next entry's stale bound. Entries are
+  // distinct pairs, so the pop order does not depend on how the heap was
+  // built.
+  std::vector<std::pair<double, int>> entries;
+  entries.reserve(universe.num_filters());
+  for (int f = 0; f < universe.num_filters(); ++f) {
+    entries.emplace_back(s.Score(f), f);
+  }
+  std::priority_queue<std::pair<double, int>> heap(
+      std::less<std::pair<double, int>>(), std::move(entries));
+  while (s.num_alive > 0) {
+    int chosen = -1;
+    while (!heap.empty()) {
+      auto [stale, f] = heap.top();
+      heap.pop();
+      if (!s.in_fx[f]) continue;
+      double fresh = s.Score(f);
+      if (heap.empty() || fresh >= heap.top().first) {
+        chosen = f;
+        break;
       }
-      if (chosen < 0) chosen = s.FallbackSelection();
-      QBE_CHECK(chosen >= 0);
-      bool ok = engine.EvaluateFilter(universe.Materialize(chosen));
-      s.RecordOutcome(ok);
-      s.Apply(chosen, ok);
+      heap.emplace(fresh, f);
     }
-  } else {
-    while (s.num_alive > 0) {
-      int chosen = SelectExact(s);
-      QBE_CHECK(chosen >= 0);
-      bool ok = engine.EvaluateFilter(universe.Materialize(chosen));
-      s.RecordOutcome(ok);
-      s.Apply(chosen, ok);
-    }
+    if (chosen < 0) chosen = s.FallbackSelection();
+    QBE_CHECK(chosen >= 0);
+    s.Apply(chosen, engine.EvaluateFilter(universe, chosen));
   }
 
   counters->subtree_memo_hits += subtree_memo.hits();

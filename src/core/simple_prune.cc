@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "core/filter.h"
 #include "util/stopwatch.h"
 
 namespace qbe {

@@ -10,7 +10,6 @@
 
 #include "core/candidate_query.h"
 #include "core/example_table.h"
-#include "core/filter.h"
 #include "exec/executor.h"
 #include "obs/trace.h"
 #include "schema/schema_graph.h"
@@ -21,6 +20,7 @@
 namespace qbe {
 
 class ShardExecSet;
+struct FilterUniverse;
 
 /// Row orderings for the baseline verifiers (§4.1): as given, uniformly
 /// shuffled, or densest row first (candidates are likelier to fail on
@@ -210,9 +210,10 @@ struct VerifyContext {
 /// Counting wrapper around the executor: evaluates one filter / CQ-row
 /// verification (they are the same operation — a candidate-row check is the
 /// candidate's basic filter) and charges the counters. Filters with no
-/// predicates depend only on the join tree, so their outcome is memoized —
-/// re-asking whether a join is non-empty is free, exactly as a DBMS would
-/// answer from cache.
+/// predicates depend only on the join tree, so their outcome is memoized by
+/// universe tree id — re-asking whether a join is non-empty is free, exactly
+/// as a DBMS would answer from cache. One engine evaluates the filters of
+/// one universe.
 class EvalEngine {
  public:
   /// `memo` optionally shares reduced predicate-free join subtrees across
@@ -222,8 +223,9 @@ class EvalEngine {
              Executor::SubtreeMemo* memo = nullptr)
       : ctx_(ctx), counters_(counters), memo_(memo) {}
 
-  /// Evaluates `filter` (Definition 6). Returns true on success.
-  bool EvaluateFilter(const Filter& filter);
+  /// Evaluates filter `f` of `universe` (Definition 6). Returns true on
+  /// success.
+  bool EvaluateFilter(const FilterUniverse& universe, int f);
 
   /// Evaluates candidate `q` for ET row `row` (§4.1's CQ-row verification).
   bool EvaluateCandidateRow(int q, int row);
@@ -236,7 +238,9 @@ class EvalEngine {
   const VerifyContext& ctx_;
   VerificationCounters* counters_;
   Executor::SubtreeMemo* memo_ = nullptr;
-  std::unordered_map<JoinTree, bool, JoinTreeHash> empty_join_cache_;
+  /// Outcome per universe tree of its predicate-free filters: -1 unknown,
+  /// else 0/1.
+  std::vector<int8_t> empty_join_outcomes_;
   /// Reused predicate buffer: one engine evaluates thousands of CQ-rows /
   /// filters, and rebuilding the vector each time was the dominant
   /// allocation of the verify hot path.

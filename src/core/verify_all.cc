@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "core/filter_universe.h"
 #include "shard/shard_exec.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -89,17 +90,20 @@ bool EvalEngine::Execute(const JoinTree& tree,
   return run_exec();
 }
 
-bool EvalEngine::EvaluateFilter(const Filter& filter) {
-  FilterPredicatesInto(filter, ctx_.et, ctx_.et_ids, &preds_scratch_);
-  if (preds_scratch_.empty()) {
-    // Outcome depends only on the join tree; memoize (see class comment).
-    auto it = empty_join_cache_.find(filter.tree);
-    if (it != empty_join_cache_.end()) return it->second;
-    bool ok = Execute(filter.tree, preds_scratch_, filter.Cost());
-    empty_join_cache_.emplace(filter.tree, ok);
-    return ok;
+bool EvalEngine::EvaluateFilter(const FilterUniverse& universe, int f) {
+  const int tree_id = universe.filters[f].tree;
+  const JoinTree& tree = universe.trees[tree_id];
+  universe.PredicatesInto(f, ctx_.et, ctx_.et_ids, &preds_scratch_);
+  if (!preds_scratch_.empty()) {
+    return Execute(tree, preds_scratch_, tree.NumVertices());
   }
-  return Execute(filter.tree, preds_scratch_, filter.Cost());
+  // Outcome depends only on the join tree; memoize (see class comment).
+  empty_join_outcomes_.resize(universe.trees.size(), -1);
+  int8_t& outcome = empty_join_outcomes_[tree_id];
+  if (outcome < 0) {
+    outcome = Execute(tree, preds_scratch_, tree.NumVertices()) ? 1 : 0;
+  }
+  return outcome == 1;
 }
 
 bool EvalEngine::EvaluateCandidateRow(int q, int row) {

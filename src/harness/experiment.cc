@@ -53,8 +53,6 @@ std::string AlgoName(AlgoKind kind) {
       return "SimplePrune";
     case AlgoKind::kFilter:
       return "Filter";
-    case AlgoKind::kFilterExact:
-      return "Filter(exact)";
     case AlgoKind::kWeave:
       return "Weave";
     case AlgoKind::kWeaveTuple:
@@ -73,8 +71,6 @@ std::unique_ptr<CandidateVerifier> MakeAlgo(AlgoKind kind) {
       return std::make_unique<SimplePrune>(RowOrder::kRandom);
     case AlgoKind::kFilter:
       return std::make_unique<FilterVerifier>();
-    case AlgoKind::kFilterExact:
-      return std::make_unique<FilterVerifier>(0.1, false);
     case AlgoKind::kWeave:
       return std::make_unique<JoinTreeWeave>();
     case AlgoKind::kWeaveTuple:

@@ -36,7 +36,6 @@ enum class AlgoKind {
   kVerifyAll,
   kSimplePrune,
   kFilter,
-  kFilterExact,
   kWeave,
   kWeaveTuple,
 };

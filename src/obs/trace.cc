@@ -56,7 +56,6 @@ const char* SpanKindName(SpanKind kind) {
     case SpanKind::kVerifyAll: return "verify:verifyall";
     case SpanKind::kSimplePrune: return "verify:simpleprune";
     case SpanKind::kFilter: return "verify:filter";
-    case SpanKind::kFilterExact: return "verify:filterexact";
     case SpanKind::kFilterUniverse: return "filter_universe";
     case SpanKind::kWeave: return "verify:weave";
     case SpanKind::kRelaxedVerify: return "verify:relaxed";

@@ -43,7 +43,6 @@ enum class SpanKind : uint8_t {
   kVerifyAll,        // per-algorithm verification phase...
   kSimplePrune,
   kFilter,
-  kFilterExact,
   kFilterUniverse,   // FILTER's universe build, nested in its verify span
   kWeave,
   kRelaxedVerify,    // min_row_support >= 0 row-counting path

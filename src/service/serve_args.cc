@@ -30,8 +30,7 @@ std::string ServeUsage() {
       "                 [--append-mix P] [--compact-after N]\n"
       "                 [--compact-snapshot FILE.qbes]\n"
       "                 [--timeout-ms T]\n"
-      "                 [--algorithm "
-      "verifyall|simpleprune|filter|filterexact|weave]\n"
+      "                 [--algorithm verifyall|simpleprune|filter|weave]\n"
       "                 [--listen PORT] [--port-file FILE]\n"
       "                 [--max-conns N] [--idle-timeout-ms T]\n"
       "                 [--metrics-port P] [--trace-sample F]\n"
@@ -44,7 +43,6 @@ std::optional<Algorithm> ParseAlgorithmName(const std::string& name) {
   if (name == "verifyall") return Algorithm::kVerifyAll;
   if (name == "simpleprune") return Algorithm::kSimplePrune;
   if (name == "filter") return Algorithm::kFilter;
-  if (name == "filterexact") return Algorithm::kFilterExact;
   if (name == "weave") return Algorithm::kWeave;
   return std::nullopt;
 }
@@ -158,6 +156,13 @@ ServeArgs ParseServeArgs(int argc, const char* const* argv) {
   }
   if (args.ok() && args.shards > 1 && !args.shardset_path.empty()) {
     fail("--shards and --shardset are mutually exclusive");
+  }
+  // WEAVE has no scatter-gather form (see DiscoverQueries), so every
+  // request over several shards would fail.
+  if (args.ok() && args.algorithm == "weave" &&
+      (args.shards > 1 || !args.shardset_path.empty())) {
+    fail(std::string("--algorithm weave cannot be combined with ") +
+         (args.shards > 1 ? "--shards N>1" : "--shardset"));
   }
   return args;
 }

@@ -79,8 +79,8 @@ ServeArgs ParseServeArgs(int argc, const char* const* argv);
 /// The usage text qbe_serve prints on --help or a parse error.
 std::string ServeUsage();
 
-/// "verifyall" | "simpleprune" | "filter" | "filterexact" | "weave" → the
-/// Algorithm, or nullopt.
+/// "verifyall" | "simpleprune" | "filter" | "weave" → the Algorithm, or
+/// nullopt. Shared by qbe_serve and qbe_cli.
 std::optional<Algorithm> ParseAlgorithmName(const std::string& name);
 
 }  // namespace qbe

@@ -55,11 +55,9 @@ TEST_F(CustIntegrationTest, AllAlgorithmsAgreeOnCustWorkload) {
     std::vector<bool> reference = verify_all.Verify(ctx, &c0);
 
     SimplePrune simple_prune;
-    FilterVerifier filter_lazy;  // default: lazy greedy
-    FilterVerifier filter_exact(0.1, false);
+    FilterVerifier filter;
     JoinTreeWeave weave;
-    CandidateVerifier* algos[] = {&simple_prune, &filter_lazy, &filter_exact,
-                                  &weave};
+    CandidateVerifier* algos[] = {&simple_prune, &filter, &weave};
     for (CandidateVerifier* algo : algos) {
       VerificationCounters counters;
       EXPECT_EQ(algo->Verify(ctx, &counters), reference) << algo->name();

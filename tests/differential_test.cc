@@ -1,9 +1,9 @@
 // Differential test suite for the verification algorithms.
 //
-// Over ≥ 200 seeded random database/ET instances it asserts that FILTER
-// (lazy and exact), VERIFYALL and SIMPLEPRUNE return identical
-// minimal-valid-query sets (the paper's §2.3 invariant), and pins every
-// algorithm's verification count against a golden snapshot.
+// Over ≥ 200 seeded random database/ET instances it asserts that FILTER,
+// VERIFYALL and SIMPLEPRUNE return identical minimal-valid-query sets (the
+// paper's §2.3 invariant), and pins every algorithm's verification count
+// against a golden snapshot.
 //
 // Instances are drawn as 20 seeded scaled-retailer databases × 10 random
 // ETs each = 200 (database, ET) pairs, sharded into gtest params so
@@ -92,9 +92,8 @@ TEST_P(DifferentialTest, AlgorithmsAgreeOnRandomInstances) {
         RunVerifier(wb, et, cands, verify_all, seed);
 
     SimplePrune simple_prune(RowOrder::kDenseFirst);
-    FilterVerifier filter_lazy(0.1, true);
-    FilterVerifier filter_exact(0.1, false);
-    CandidateVerifier* algos[] = {&simple_prune, &filter_lazy, &filter_exact};
+    FilterVerifier filter;
+    CandidateVerifier* algos[] = {&simple_prune, &filter};
     for (CandidateVerifier* algo : algos) {
       auto [valid, verifs] = RunVerifier(wb, et, cands, *algo, seed);
       EXPECT_EQ(valid, reference)
@@ -137,13 +136,11 @@ CountMap CollectVerifyCounts() {
       if (cands.empty()) continue;
       VerifyAll verify_all(RowOrder::kDenseFirst);
       SimplePrune simple_prune(RowOrder::kDenseFirst);
-      FilterVerifier filter_lazy(0.1, true);
-      FilterVerifier filter_exact(0.1, false);
+      FilterVerifier filter;
       JoinTreeWeave weave;
       std::pair<const char*, CandidateVerifier*> algos[] = {
           {"verifyall", &verify_all},   {"simpleprune", &simple_prune},
-          {"filter", &filter_lazy},     {"filterexact", &filter_exact},
-          {"weave", &weave}};
+          {"filter", &filter},          {"weave", &weave}};
       for (auto [name, algo] : algos) {
         auto [valid, verifs] = RunVerifier(wb, et, cands, *algo, seed);
         (void)valid;
@@ -199,18 +196,13 @@ void CollectCustVerifyCounts(CountMap* counts) {
   std::vector<HeavyCustEt> ets = HeavyCustEts(wb);
   ASSERT_EQ(ets.size(), static_cast<size_t>(kCustEts));
   for (size_t e = 0; e < ets.size(); ++e) {
-    FilterVerifier filter_lazy(0.1, true);
-    FilterVerifier filter_exact(0.1, false);
-    std::pair<const char*, CandidateVerifier*> algos[] = {
-        {"filter", &filter_lazy}, {"filterexact", &filter_exact}};
-    for (auto [name, algo] : algos) {
-      auto [valid, verifs] =
-          RunVerifier(wb, ets[e].et, ets[e].candidates, *algo, 1);
-      (void)valid;
-      char key[64];
-      std::snprintf(key, sizeof(key), "cust.e%02zu.%s", e, name);
-      (*counts)[key] = verifs;
-    }
+    FilterVerifier filter;
+    auto [valid, verifs] =
+        RunVerifier(wb, ets[e].et, ets[e].candidates, filter, 1);
+    (void)valid;
+    char key[64];
+    std::snprintf(key, sizeof(key), "cust.e%02zu.filter", e);
+    (*counts)[key] = verifs;
   }
 }
 

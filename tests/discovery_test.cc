@@ -35,8 +35,8 @@ TEST_F(DiscoveryTest, AllAlgorithmsProduceSameQueries) {
   ExampleTable et = MakeFigure2ExampleTable();
   DiscoveryOptions base;
   DiscoveryResult reference = DiscoverQueries(db_, et, base);
-  for (Algorithm algo : {Algorithm::kVerifyAll, Algorithm::kSimplePrune,
-                         Algorithm::kFilterExact, Algorithm::kWeave}) {
+  for (Algorithm algo :
+       {Algorithm::kVerifyAll, Algorithm::kSimplePrune, Algorithm::kWeave}) {
     DiscoveryOptions options = base;
     options.algorithm = algo;
     DiscoveryResult result = DiscoverQueries(db_, et, options);

@@ -12,6 +12,7 @@
 #include "exec/executor.h"
 #include "schema/subtree_enum.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace qbe {
 namespace {
@@ -43,7 +44,7 @@ TEST_F(FilterUniverseTest, EveryCandidateHasOneBasicFilterPerRow) {
     std::span<const int> basic = universe_.basic_filters_of_query[q];
     EXPECT_EQ(basic.size(), static_cast<size_t>(et_.num_rows()));
     for (int f : basic) {
-      EXPECT_TRUE(universe_.Materialize(f).tree == candidates_[q].tree);
+      EXPECT_TRUE(test::Materialize(universe_, f).tree == candidates_[q].tree);
     }
   }
 }
@@ -51,7 +52,8 @@ TEST_F(FilterUniverseTest, EveryCandidateHasOneBasicFilterPerRow) {
 TEST_F(FilterUniverseTest, FiltersAreDeduplicated) {
   for (int i = 0; i < universe_.num_filters(); ++i) {
     for (int j = i + 1; j < universe_.num_filters(); ++j) {
-      EXPECT_FALSE(universe_.Materialize(i) == universe_.Materialize(j));
+      EXPECT_FALSE(test::Materialize(universe_, i) ==
+                   test::Materialize(universe_, j));
     }
   }
   // Sharing happened: strictly fewer filters than candidate×subtree×row
@@ -76,8 +78,8 @@ TEST_F(FilterUniverseTest, MembershipIsConsistent) {
 TEST_F(FilterUniverseTest, FilterTreesAreSubtreesOfTheirCandidates) {
   for (size_t q = 0; q < candidates_.size(); ++q) {
     for (int f : universe_.filters_of_query[q]) {
-      EXPECT_TRUE(
-          universe_.Materialize(f).tree.IsSubtreeOf(candidates_[q].tree));
+      EXPECT_TRUE(test::Materialize(universe_, f).tree.IsSubtreeOf(
+          candidates_[q].tree));
     }
   }
 }
@@ -133,7 +135,7 @@ size_t ExpectUniverseMatchesOracle(const SchemaGraph& graph,
   if (u.num_filters() != n) return 0;
   std::vector<Filter> filters;
   for (int f = 0; f < n; ++f) {
-    filters.push_back(u.Materialize(f));
+    filters.push_back(test::Materialize(u, f));
     EXPECT_TRUE(filters[f] == oracle[f]) << "filter " << f;
     EXPECT_EQ(filters[f].constrained_mask, oracle[f].constrained_mask);
     EXPECT_EQ(filters[f].exact_mask, oracle[f].exact_mask);
@@ -241,6 +243,95 @@ TEST_P(UniverseDifferentialTest, RetailerInstancesMatchPairwiseOracle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, UniverseDifferentialTest,
                          ::testing::Range<uint64_t>(1, 21));
 
+// ---------------------------------------------------------------------------
+// The predicates FILTER evaluates are built straight from the flat filter
+// records; they must equal the Definition 6 predicates of the materialized
+// filter.
+// ---------------------------------------------------------------------------
+
+/// Checks every filter of `u`: same column, tokens, ids, exact flag and
+/// order. One scratch vector serves all filters, with and without ids, as
+/// the engine's does. Returns the number of predicates compared.
+size_t ExpectFlatPredicatesMatchMaterialized(const Database& db,
+                                             const ExampleTable& et,
+                                             const FilterUniverse& u) {
+  const EtTokenIds ids(et, db.token_dict());
+  std::vector<PhrasePredicate> flat;
+  size_t compared = 0;
+  for (int f = 0; f < u.num_filters(); ++f) {
+    const Filter filter = test::Materialize(u, f);
+    const std::vector<PhrasePredicate> expected = FilterPredicates(filter, et);
+    for (const EtTokenIds* et_ids : {&ids, static_cast<const EtTokenIds*>(
+                                               nullptr)}) {
+      u.PredicatesInto(f, et, et_ids, &flat);
+      if (flat.size() != expected.size()) {
+        ADD_FAILURE() << "filter " << f << ": " << flat.size()
+                      << " predicates, expected " << expected.size();
+        return compared;
+      }
+      size_t i = 0;
+      for (int c = 0; c < et.num_columns(); ++c) {
+        if ((filter.constrained_mask >> c & 1) == 0) continue;
+        EXPECT_TRUE(flat[i].column == expected[i].column) << "filter " << f;
+        EXPECT_EQ(flat[i].tokens, expected[i].tokens) << "filter " << f;
+        EXPECT_EQ(flat[i].exact, expected[i].exact) << "filter " << f;
+        EXPECT_EQ(flat[i].ids, et_ids != nullptr
+                                   ? ids.CellIds(filter.row, c)
+                                   : std::vector<uint32_t>{})
+            << "filter " << f;
+        ++i;
+      }
+      compared += i;
+    }
+  }
+  return compared;
+}
+
+TEST_F(FilterUniverseTest, FlatPredicatesMatchMaterializedFilters) {
+  EXPECT_GT(ExpectFlatPredicatesMatchMaterialized(db_, et_, universe_), 0u);
+}
+
+TEST(UniverseOracleTest, FlatPredicatesMatchOnHeavyCustUniverse) {
+  // A CUST ET with hundreds of candidates (the heavy-ET family of
+  // differential_test). Its cells in column 0 are then flagged exact: the
+  // candidates stay those of the plain ET, and the universe's classes carry
+  // exact masks next to the ET's empty cells.
+  CustConfig config;
+  config.scale = 0.2;
+  Database db = MakeCustLikeDatabase(config);
+  SchemaGraph graph(db);
+  Executor exec(db, graph);
+  EtSource source(db, graph, exec, /*seed=*/3);
+  Rng rng(7);
+  CandidateGenOptions options;
+  options.max_candidates = 2001;
+  std::optional<ExampleTable> et;
+  std::vector<CandidateQuery> candidates;
+  for (int draw = 0; draw < 100 && candidates.size() <= 500; ++draw) {
+    et = source.Sample(EtParams{}, /*index=*/4, rng);
+    if (!et) continue;
+    candidates = GenerateCandidates(db, graph, *et, options);
+    if (candidates.size() > 2000) candidates.clear();
+  }
+  ASSERT_GT(candidates.size(), 500u);
+  ASSERT_GT(et->Sparsity(), 0.0);
+  ExampleTable marked(std::vector<std::string>(et->num_columns()));
+  for (int r = 0; r < et->num_rows(); ++r) {
+    std::vector<EtCell> cells;
+    for (int c = 0; c < et->num_columns(); ++c) {
+      EtCell cell = et->cell(r, c);
+      cell.exact = c == 0 && !cell.IsEmpty();
+      cells.push_back(cell);
+    }
+    marked.AddRowCells(cells);
+  }
+  const FilterUniverse u = BuildFilterUniverse(graph, marked, candidates);
+  bool exact = false;
+  for (const FilterClass& c : u.classes) exact = exact || c.exact_mask != 0;
+  EXPECT_TRUE(exact);
+  EXPECT_GT(ExpectFlatPredicatesMatchMaterialized(db, marked, u), 0u);
+}
+
 TEST(UniverseOracleTest, CustInstancesMatchPairwiseOracle) {
   CustConfig config;
   config.scale = 0.08;
@@ -316,6 +407,7 @@ TEST_F(FilterUniverseTest, EmptyAndExactCellsMatchPairwiseOracle) {
   bool exact = false;
   for (const FilterClass& c : u.classes) exact = exact || c.exact_mask != 0;
   EXPECT_TRUE(exact);
+  EXPECT_GT(ExpectFlatPredicatesMatchMaterialized(db_, et, u), 0u);
 }
 
 /// Game references Team twice (home and away): two distinct join trees over

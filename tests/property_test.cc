@@ -1,9 +1,10 @@
 // Property-based suites for the paper's central invariants:
 //
-//  1. Every verification algorithm — VERIFYALL, SIMPLEPRUNE, FILTER (exact
-//     and lazy), WEAVE (join-tree and tuple-tree) — computes the same valid
-//     set on the same input (§2.3: "All techniques considered in this paper
-//     produce the same output; they differ only in efficiency").
+//  1. Every verification algorithm — VERIFYALL, SIMPLEPRUNE, FILTER (over a
+//     sweep of its failure prior p̂), WEAVE (join-tree and tuple-tree) —
+//     computes the same valid set on the same input (§2.3: "All techniques
+//     considered in this paper produce the same output; they differ only in
+//     efficiency").
 //  2. The dependency lemmas hold semantically: whenever the structural
 //     side-conditions of Lemmas 1, 3 and 4 hold, the implied evaluation
 //     outcome matches what the executor reports.
@@ -22,6 +23,7 @@
 #include "datagen/retailer.h"
 #include "exec/executor.h"
 #include "ingest/db_view.h"
+#include "test_util.h"
 #include "text/tokenizer.h"
 #include "util/rng.h"
 
@@ -72,19 +74,21 @@ TEST_P(AgreementTest, AllAlgorithmsComputeTheSameValidSet) {
 
     VerifyAll verify_all_random(RowOrder::kRandom);
     SimplePrune simple_prune;
-    FilterVerifier filter_exact(0.5, false);
-    FilterVerifier filter_lazy(0.5, true);
-    FilterVerifier filter_prior0(0.0, false);
     JoinTreeWeave weave;
     TupleTreeWeave tuple_weave;
-    CandidateVerifier* algos[] = {&verify_all_random, &simple_prune,
-                                  &filter_exact,      &filter_lazy,
-                                  &filter_prior0,     &weave,
+    CandidateVerifier* algos[] = {&verify_all_random, &simple_prune, &weave,
                                   &tuple_weave};
     for (CandidateVerifier* algo : algos) {
       VerificationCounters counters;
       EXPECT_EQ(algo->Verify(ctx, &counters), reference)
           << algo->name() << " disagrees (seed " << seed << ")";
+    }
+    // FILTER's valid set must not depend on its failure prior p̂.
+    for (double prior : {0.0, 0.1, 0.5, 1.0}) {
+      FilterVerifier filter(prior);
+      VerificationCounters counters;
+      EXPECT_EQ(filter.Verify(ctx, &counters), reference)
+          << "Filter(p=" << prior << ") disagrees (seed " << seed << ")";
     }
   }
 }
@@ -111,7 +115,7 @@ TEST_P(LemmaTest, FilterDependencyLemmasHoldSemantically) {
     std::vector<int> outcome(u.num_filters(), -1);  // -1 unknown
     auto eval = [&](int f) {
       if (outcome[f] < 0) {
-        const Filter filter = u.Materialize(f);
+        const Filter filter = test::Materialize(u, f);
         outcome[f] =
             wb.exec.Exists(filter.tree, FilterPredicates(filter, et)) ? 1 : 0;
       }
@@ -306,8 +310,8 @@ size_t ExpectAllVerifiersAgree(Workbench& wb, const ExampleTable& et,
   std::vector<bool> reference = verify_all.Verify(ctx, &c0);
 
   SimplePrune simple_prune;
-  FilterVerifier filter_lazy(0.1, true);
-  CandidateVerifier* algos[] = {&simple_prune, &filter_lazy};
+  FilterVerifier filter;
+  CandidateVerifier* algos[] = {&simple_prune, &filter};
   for (CandidateVerifier* algo : algos) {
     VerificationCounters counters;
     EXPECT_EQ(algo->Verify(ctx, &counters), reference) << algo->name();

@@ -395,6 +395,29 @@ TEST(ServeArgsTest, RejectsUnknownDatasetAndAlgorithm) {
   EXPECT_EQ(Parse({"--algorithm", "magic"}).error, "unknown algorithm magic");
 }
 
+TEST(ServeArgsTest, RejectsWeaveOverShards) {
+  // WEAVE has no scatter-gather form: over several shards every request
+  // would fail, so the combination is a usage error naming both flags.
+  EXPECT_EQ(Parse({"--algorithm", "weave", "--shards", "2"}).error,
+            "--algorithm weave cannot be combined with --shards N>1");
+  EXPECT_EQ(Parse({"--shardset", "x.shardset", "--algorithm", "weave"}).error,
+            "--algorithm weave cannot be combined with --shardset");
+  // One shard is unsharded serving, and the other algorithms shard.
+  EXPECT_TRUE(Parse({"--algorithm", "weave", "--shards", "1"}).ok());
+  EXPECT_TRUE(Parse({"--algorithm", "filter", "--shards", "2"}).ok());
+  EXPECT_TRUE(Parse({"--algorithm", "verifyall", "--shardset", "x"}).ok());
+}
+
+TEST(ServeArgsTest, AcceptsExactlyTheFourAlgorithmNames) {
+  for (const char* name : {"verifyall", "simpleprune", "filter", "weave"}) {
+    EXPECT_TRUE(ParseAlgorithmName(name).has_value()) << name;
+    EXPECT_NE(ServeUsage().find(name), std::string::npos) << name;
+  }
+  EXPECT_EQ(Parse({"--algorithm", "filterexact"}).error,
+            "unknown algorithm filterexact");
+  EXPECT_EQ(ServeUsage().find("filterexact"), std::string::npos);
+}
+
 TEST(ServeArgsTest, HelpSetsShowUsage) {
   EXPECT_TRUE(Parse({"--help"}).show_usage);
   EXPECT_TRUE(Parse({"-h"}).show_usage);

@@ -164,8 +164,7 @@ TEST_P(ShardDifferentialTest, AllVerifiersAgreeSharded) {
 
   for (const ExampleTable& et : RandomEts(wb, seed + 3000)) {
     for (Algorithm algorithm :
-         {Algorithm::kVerifyAll, Algorithm::kSimplePrune,
-          Algorithm::kFilterExact}) {
+         {Algorithm::kVerifyAll, Algorithm::kSimplePrune}) {
       DiscoveryOptions options;
       options.algorithm = algorithm;
       DiscoveryResult reference = DiscoverQueries(wb.db, et, options);

@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "core/filter.h"
+#include "core/filter_universe.h"
 #include "exec/predicate.h"
 #include "schema/join_tree.h"
 #include "schema/schema_graph.h"
@@ -51,6 +53,21 @@ inline JoinTree Tree(const Database& db, const SchemaGraph& graph,
     QBE_CHECK_MSG(advanced, "relations not connectable into a tree");
   }
   return tree;
+}
+
+/// Filter `f` of `u` as a self-contained value (the form MakeFilter
+/// builds), for comparing universe records against the Definition 5 oracle.
+inline Filter Materialize(const FilterUniverse& u, int f) {
+  const FilterRecord& rec = u.filters[f];
+  const FilterClass& cls = u.classes[rec.cls];
+  std::span<const ColumnRef> phi = u.Phi(rec.projection);
+  Filter filter;
+  filter.tree = u.trees[rec.tree];
+  filter.phi.assign(phi.begin(), phi.end());
+  filter.row = rec.row;
+  filter.constrained_mask = cls.constrained_mask;
+  filter.exact_mask = cls.exact_mask;
+  return filter;
 }
 
 /// Reference (index-free, exponential) implementation of the existence

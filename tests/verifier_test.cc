@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/candidate_gen.h"
+#include "core/execute_all.h"
+#include "core/filter_universe.h"
 #include "core/simple_prune.h"
 #include "core/verify_all.h"
 #include "datagen/retailer.h"
@@ -86,17 +88,51 @@ TEST_F(VerifierTest, VerifyAllVerificationAccounting) {
   EXPECT_EQ(counters.verifications, 7);
 }
 
-TEST_F(VerifierTest, EvalEngineCachesPredicatelessFilters) {
+TEST_F(VerifierTest, EvalEngineChargesPredicateFreeTreeOnceAcrossRows) {
+  // Each row of the one-column ET gets a filter on {Sales, Device}, whose
+  // relations hold no projected column: two predicate-free filters on one
+  // tree. The engine executes that join once and serves every later ask,
+  // from either row, out of its memo.
+  ExampleTable et({"A"});
+  et.AddRow({"Mike"});
+  et.AddRow({"Mary"});
+  CandidateQuery query;
+  query.tree = test::Tree(db_, graph_, {"Sales", "Customer", "Device"});
+  query.projection = {test::Col(db_, "Customer.CustName")};
+  const std::vector<CandidateQuery> candidates = {query};
+  const FilterUniverse u = BuildFilterUniverse(graph_, et, candidates);
+  const JoinTree free_tree = test::Tree(db_, graph_, {"Sales", "Device"});
+  std::vector<int> free_filters;
+  for (int f = 0; f < u.num_filters(); ++f) {
+    if (u.trees[u.filters[f].tree] == free_tree) free_filters.push_back(f);
+  }
+  ASSERT_EQ(free_filters.size(), 2u);
+  EXPECT_NE(u.filters[free_filters[0]].row, u.filters[free_filters[1]].row);
+  std::vector<PhrasePredicate> predicates;
+  for (int f : free_filters) {
+    u.PredicatesInto(f, et, nullptr, &predicates);
+    EXPECT_TRUE(predicates.empty());
+  }
+
+  VerifyContext ctx{.db = db_,
+                    .graph = graph_,
+                    .exec = exec_,
+                    .et = et,
+                    .candidates = candidates,
+                    .verify = {}};
   VerificationCounters counters;
-  VerifyContext ctx = Ctx();
   EvalEngine engine(ctx, &counters);
-  Filter f;
-  f.tree = test::Tree(db_, graph_, {"Sales", "Customer"});
-  f.phi.assign(3, ColumnRef{});
-  f.row = 0;
-  EXPECT_TRUE(engine.EvaluateFilter(f));
-  EXPECT_TRUE(engine.EvaluateFilter(f));
-  EXPECT_EQ(counters.verifications, 1);  // second call served from cache
+  EXPECT_TRUE(engine.EvaluateFilter(u, free_filters[0]));
+  EXPECT_TRUE(engine.EvaluateFilter(u, free_filters[0]));
+  EXPECT_TRUE(engine.EvaluateFilter(u, free_filters[1]));
+  EXPECT_EQ(counters.verifications, 1);
+  EXPECT_EQ(counters.estimated_cost, 2);
+
+  // A filter with predicates is charged on every evaluation.
+  const int basic = u.basic_filters_of_query[0][0];
+  EXPECT_TRUE(engine.EvaluateFilter(u, basic));
+  EXPECT_TRUE(engine.EvaluateFilter(u, basic));
+  EXPECT_EQ(counters.verifications, 3);
 }
 
 TEST_F(VerifierTest, SimplePruneAgreesWithVerifyAll) {
@@ -146,6 +182,69 @@ TEST_F(VerifierTest, CountersAddAggregates) {
   EXPECT_EQ(a.verifications, 5);
   EXPECT_EQ(a.estimated_cost, 15);
   EXPECT_EQ(a.peak_memory_bytes, 200u);
+}
+
+TEST_F(VerifierTest, ExecuteAllAgreesAndChargesOutputSize) {
+  ExampleTable et = MakeFigure2ExampleTable();
+  std::vector<CandidateQuery> candidates =
+      GenerateCandidates(db_, graph_, et, {});
+  VerifyContext ctx{.db = db_,
+                    .graph = graph_,
+                    .exec = exec_,
+                    .et = et,
+                    .candidates = candidates,
+                    .seed = 1,
+                    .verify = {}};
+  VerifyAll reference;
+  VerificationCounters c0;
+  std::vector<bool> expected = reference.Verify(ctx, &c0);
+
+  ExecuteAll execute_all;
+  VerificationCounters c1;
+  EXPECT_EQ(execute_all.Verify(ctx, &c1), expected);
+  // One verification per candidate, but cost counts whole outputs: the
+  // Sales and Owner candidates produce 3 tuples each, the ESR-based one 2
+  // (only employees e1 and e2 filed service requests) — 8 tuples over
+  // 4-relation trees.
+  EXPECT_EQ(c1.verifications, static_cast<int64_t>(candidates.size()));
+  EXPECT_EQ(c1.estimated_cost, 8 * 4);
+}
+
+TEST_F(VerifierTest, ExecuteAllFallbackUnderTinyCap) {
+  ExampleTable et = MakeFigure2ExampleTable();
+  std::vector<CandidateQuery> candidates =
+      GenerateCandidates(db_, graph_, et, {});
+  VerifyContext ctx{.db = db_,
+                    .graph = graph_,
+                    .exec = exec_,
+                    .et = et,
+                    .candidates = candidates,
+                    .seed = 1,
+                    .verify = {}};
+  VerifyAll reference;
+  VerificationCounters c0;
+  std::vector<bool> expected = reference.Verify(ctx, &c0);
+  ExecuteAll tiny_cap(/*output_cap=*/1);
+  VerificationCounters c1;
+  EXPECT_EQ(tiny_cap.Verify(ctx, &c1), expected);
+}
+
+TEST_F(VerifierTest, ExecuteAllWithExactCells) {
+  ExampleTable et({"A"});
+  et.AddRowCells({EtCell{"Office", true}});  // never a whole cell
+  std::vector<CandidateQuery> candidates =
+      GenerateCandidates(db_, graph_, et, {});
+  if (candidates.empty()) GTEST_SKIP();
+  VerifyContext ctx{.db = db_,
+                    .graph = graph_,
+                    .exec = exec_,
+                    .et = et,
+                    .candidates = candidates,
+                    .seed = 1,
+                    .verify = {}};
+  ExecuteAll execute_all;
+  VerificationCounters c;
+  for (bool v : execute_all.Verify(ctx, &c)) EXPECT_FALSE(v);
 }
 
 }  // namespace

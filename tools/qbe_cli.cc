@@ -20,6 +20,7 @@
 #include "core/discovery.h"
 #include "core/explain.h"
 #include "datagen/retailer.h"
+#include "service/serve_args.h"
 #include "storage/catalog_io.h"
 #include "util/string_util.h"
 
@@ -34,15 +35,6 @@ void PrintUsage() {
       "               [--explain] [--top N]\n"
       "       qbe_cli --snapshot FILE.qbes --row ...\n"
       "       qbe_cli --demo DIR\n");
-}
-
-std::optional<qbe::Algorithm> ParseAlgorithm(const std::string& name) {
-  if (name == "verifyall") return qbe::Algorithm::kVerifyAll;
-  if (name == "simpleprune") return qbe::Algorithm::kSimplePrune;
-  if (name == "filter") return qbe::Algorithm::kFilter;
-  if (name == "filterexact") return qbe::Algorithm::kFilterExact;
-  if (name == "weave") return qbe::Algorithm::kWeave;
-  return std::nullopt;
 }
 
 }  // namespace
@@ -72,7 +64,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--algorithm") {
       const char* v = next();
       std::optional<qbe::Algorithm> algo =
-          v ? ParseAlgorithm(v) : std::nullopt;
+          v ? qbe::ParseAlgorithmName(v) : std::nullopt;
       if (!algo.has_value()) {
         std::fprintf(stderr, "unknown algorithm\n");
         return 2;
