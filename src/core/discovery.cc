@@ -136,15 +136,6 @@ DiscoveryResult DiscoverQueries(std::span<const DbView> views,
   Executor exec(views[0], graph);
 
   TraceContext* trace = options.trace;
-  if (trace != nullptr) {
-    for (const DbView& view : views) {
-      if (view.delta() == nullptr) continue;
-      trace->Count(TraceCounter::kDeltaRows,
-                   static_cast<int64_t>(view.delta()->appended_total));
-      trace->Count(TraceCounter::kDeltaTombstones,
-                   static_cast<int64_t>(view.delta()->tombstones_total));
-    }
-  }
 
   Stopwatch gen_timer;
   SpanRef gen_span =
@@ -163,11 +154,7 @@ DiscoveryResult DiscoverQueries(std::span<const DbView> views,
       db, graph, et, candidate_columns, gen_options);
   result.candidate_gen_seconds = gen_timer.ElapsedSeconds();
   result.num_candidates = candidates.size();
-  if (trace != nullptr) {
-    trace->CloseSpan(gen_span);
-    trace->Count(TraceCounter::kCandidatesGenerated,
-                 static_cast<int64_t>(candidates.size()));
-  }
+  if (trace != nullptr) trace->CloseSpan(gen_span);
   if (candidates.empty()) return result;
 
   if (DeadlineExpired(options)) return MarkTimedOut(result);
@@ -269,19 +256,7 @@ DiscoveryResult DiscoverQueries(std::span<const DbView> views,
     result.counters.match_cache_lookups +=
         static_cast<int64_t>(match_cache->lookups());
   }
-  if (trace != nullptr) {
-    trace->CloseSpan(verify_span);
-    trace->Count(TraceCounter::kQueriesVerified,
-                 result.counters.verifications);
-    trace->Count(TraceCounter::kMatchCacheHits,
-                 result.counters.match_cache_hits);
-    trace->Count(TraceCounter::kMatchCacheLookups,
-                 result.counters.match_cache_lookups);
-    trace->Count(TraceCounter::kSubtreeMemoHits,
-                 result.counters.subtree_memo_hits);
-    trace->Count(TraceCounter::kSubtreeMemoLookups,
-                 result.counters.subtree_memo_lookups);
-  }
+  if (trace != nullptr) trace->CloseSpan(verify_span);
 
   // An aborted run's validity vector is fabricated from the abort point on;
   // surface the timeout instead of a wrong answer.
@@ -313,10 +288,6 @@ DiscoveryResult DiscoverQueries(std::span<const DbView> views,
                      [](const DiscoveredQuery& a, const DiscoveredQuery& b) {
                        return a.score > b.score;
                      });
-  }
-  if (trace != nullptr) {
-    trace->Count(TraceCounter::kValidQueries,
-                 static_cast<int64_t>(result.queries.size()));
   }
   return result;
 }

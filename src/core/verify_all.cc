@@ -76,12 +76,6 @@ bool EvalEngine::Execute(const JoinTree& tree,
       ScopedSpan lookup_span(ctx_.trace, SpanKind::kEvalCacheLookup);
       cached = ctx_.cache->Lookup(key);
     }
-    if (ctx_.trace != nullptr) {
-      ctx_.trace->Count(TraceCounter::kEvalCacheLookups, 1);
-      if (cached.has_value()) {
-        ctx_.trace->Count(TraceCounter::kEvalCacheHits, 1);
-      }
-    }
     if (cached.has_value()) return *cached;
     bool ok = run_exec();
     ctx_.cache->Insert(key, ok);

@@ -6,7 +6,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "obs/trace.h"
 #include "snapshot/snapshot.h"
 #include "util/stopwatch.h"
 
@@ -118,15 +117,9 @@ bool LiveDatabase::ValidateAppend(const DbView& view, int rel,
   return true;
 }
 
-void LiveDatabase::set_trace(TraceContext* trace) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  trace_ = trace;
-}
-
 bool LiveDatabase::CommitLocked(std::vector<WalRecord> records,
                                 std::string* error) {
   if (wal_.is_open()) {
-    ScopedSpan wal_span(trace_, SpanKind::kWalAppend);
     for (const WalRecord& record : records) {
       if (!wal_.Append(record, error)) return false;
     }
@@ -223,7 +216,6 @@ bool LiveDatabase::AttachWal(const std::string& path, std::string* error) {
     }
     return false;
   }
-  ScopedSpan replay_span(trace_, SpanKind::kWalReplay);
   WalReadResult log = ReadWal(path);
   if (!log.ok) {
     if (error != nullptr) *error = log.error;
@@ -371,7 +363,6 @@ bool LiveDatabase::Compact(const std::string& snapshot_path,
     }
     return false;
   }
-  ScopedSpan compact_span(trace_, SpanKind::kCompaction);
   Stopwatch timer;
   const size_t merged_ops = ops_.size();
   size_t merged_appends = 0;

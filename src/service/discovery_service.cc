@@ -90,7 +90,6 @@ DiscoveryService::DiscoveryService(Database db, ServiceOptions options)
 DiscoveryService::DiscoveryService(std::vector<Database> shards,
                                    ServiceOptions options)
     : options_(std::move(options)),
-      cache_(options_.cache_shards),
       pool_(std::make_unique<ThreadPool>(options_.num_workers,
                                          options_.max_queue_depth)) {
   for (Database& shard : shards) {

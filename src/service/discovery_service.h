@@ -56,8 +56,6 @@ struct ServiceOptions {
   /// Per-request deadline applied from admission time; zero = none.
   /// Overridable per request in Submit.
   std::chrono::milliseconds default_timeout{0};
-  /// Shards of the shared verification-outcome cache.
-  size_t cache_shards = 16;
   /// Base discovery options for every request; `cache`, `deadline` and
   /// `trace` are overwritten by the service. Each request verifies serially
   /// on its worker thread; parallelism comes from running requests side by

@@ -33,7 +33,6 @@ bool ShardExecSet::Exists(const JoinTree& tree,
       continue;
     }
     ++shard.probes;
-    if (trace != nullptr) trace->Count(TraceCounter::kShardProbes, 1);
     const auto t0 = std::chrono::steady_clock::now();
     const bool found = shard.exec.Exists(tree, predicates, shard.memo.get(),
                                          shard.match_cache.get(), trace);

@@ -20,7 +20,7 @@ namespace snapshot {
 // mismatched reader rejects the file instead.
 
 inline constexpr uint64_t kMagic = 0x3150414E53454251ULL;  // "QBESNAP1"
-inline constexpr uint32_t kVersion = 1;
+inline constexpr uint32_t kVersion = 2;
 inline constexpr uint32_t kEndianTag = 0x01020304;
 inline constexpr uint32_t kPageSize = 4096;
 

@@ -520,6 +520,14 @@ TEST(NetLoopbackTest, SampledConnectionsRecordNetSpans) {
   EXPECT_TRUE(traces[0].WellFormed(&why)) << why;
   EXPECT_GE(traces[0].PhaseCount(SpanKind::kNetRead), 1u);
   EXPECT_GE(traces[0].PhaseCount(SpanKind::kNetWrite), 1u);
+  // The connection's root span is opened first and stays open on the
+  // epoll thread, so every read/write span nests directly under it.
+  ASSERT_FALSE(traces[0].spans.empty());
+  EXPECT_EQ(traces[0].spans[0].kind, SpanKind::kRequest);
+  EXPECT_EQ(traces[0].spans[0].parent, -1);
+  for (size_t i = 1; i < traces[0].spans.size(); ++i) {
+    EXPECT_EQ(traces[0].spans[i].parent, 0) << "span " << i;
+  }
 }
 
 }  // namespace

@@ -152,8 +152,10 @@ RunOutcome RunWorkload(TraceMode mode, bool with_cache) {
       std::string why;
       EXPECT_TRUE(stitched.WellFormed(&why))
           << why << " (et " << i << ")";
-      EXPECT_EQ(stitched.counter(TraceCounter::kValidQueries),
-                static_cast<int64_t>(result.queries.size()));
+      EXPECT_EQ(
+          static_cast<int64_t>(stitched.PhaseCount(SpanKind::kEvalExec)),
+          result.counters.verifications)
+          << "et " << i;
     }
   }
   outcome.cache_keys = cache.keys();
